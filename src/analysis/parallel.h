@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -88,11 +87,5 @@ void parallelFor(int begin, int end, Fn&& fn, int num_threads = 0) {
       },
       num_threads);
 }
-
-/// The pre-template signature, kept as a thin wrapper so existing callers
-/// (and code that stores the callable in a std::function anyway) compile
-/// unchanged against the out-of-line definition.
-void parallelFor(int begin, int end, const std::function<void(int)>& fn,
-                 int num_threads);
 
 }  // namespace rfid::analysis

@@ -41,9 +41,9 @@ System::System(std::vector<Reader> readers, std::vector<Tag> tags)
   assignSfcOrder();
   buildBitmap();
 
-  // The reader grid is built eagerly: the bitmap referee's victim pass
-  // queries it from const (and concurrent) weight evaluations, which must
-  // not race a lazy build.  Readers never move, so this is once per System.
+  // The reader grid is built here, once per System (readers never move):
+  // the referee's victim pass queries it from const, concurrent weight
+  // evaluations, and addTag/moveTag from their coverer queries.
   {
     std::vector<geom::Vec2> reader_pos;
     reader_pos.reserve(readers_.size());
@@ -191,7 +191,6 @@ void System::buildBitmap() {
 }
 
 void System::initScratch(WeightScratch& scratch) const {
-  scratch.count.assign(tags_.size(), 0);
   scratch.victim.assign(readers_.size(), 0);
   scratch.once.assign(read_bits_.size(), 0);
   scratch.twice.assign(read_bits_.size(), 0);
@@ -226,76 +225,11 @@ int System::unreadCount() const {
 }
 
 int System::unreadCoverableCount() const {
-  if (!reference_eval_) {
-    int n = 0;
-    for (std::size_t w = 0; w < coverable_bits_.size(); ++w) {
-      n += std::popcount(coverable_bits_[w] & ~read_bits_[w]);
-    }
-    return n;
-  }
   int n = 0;
-  for (std::size_t t = 0; t < tags_.size(); ++t) {
-    if (read_[t] == 0 && covr_off_[t + 1] > covr_off_[t]) ++n;
+  for (std::size_t w = 0; w < coverable_bits_.size(); ++w) {
+    n += std::popcount(coverable_bits_[w] & ~read_bits_[w]);
   }
   return n;
-}
-
-template <typename OnTag>
-void System::forEachWellCovered(std::span<const int> X,
-                                std::span<const int> jamming,
-                                std::span<int> count, std::span<char> victim,
-                                OnTag&& on_tag) const {
-  // `jamming` readers radiate like members of X (passes 1 and 2) but never
-  // read (pass 3) — the loud-failure semantics of the fault model.  The
-  // common no-fault call passes an empty span and compiles to the original
-  // three-pass evaluation.
-  //
-  // Pass 1: RTc victims — v_i inside some other active v_j's interference
-  // disk reads nothing (Definition 1, second condition).  Note the
-  // asymmetry: only R_j matters for whether v_i is a victim.
-  const auto victimOf = [this, X, jamming](int vi) -> char {
-    const Reader& a = reader(vi);
-    for (const int vj : X) {
-      if (vi == vj) continue;
-      const double rj = reader(vj).interference_radius;
-      if (geom::dist2(a.pos, reader(vj).pos) <= rj * rj) return 1;
-    }
-    for (const int vj : jamming) {
-      if (vi == vj) continue;
-      const double rj = reader(vj).interference_radius;
-      if (geom::dist2(a.pos, reader(vj).pos) <= rj * rj) return 1;
-    }
-    return 0;
-  };
-  for (const int vi : X) {
-    victim[static_cast<std::size_t>(vi)] = victimOf(vi);
-  }
-  // Pass 2: coverage multiplicity among all radiating readers (RRc counts
-  // every active interrogation region, victim or not — a victim still
-  // radiates, and so does a loud-failed reader).
-  for (const int v : X) {
-    for (const int t : coverage(v)) ++count[static_cast<std::size_t>(t)];
-  }
-  for (const int v : jamming) {
-    for (const int t : coverage(v)) ++count[static_cast<std::size_t>(t)];
-  }
-  // Pass 3: a tag is well-covered iff it is unread, covered by exactly one
-  // radiating reader, and that reader is a non-victim member of X.
-  for (const int v : X) {
-    if (victim[static_cast<std::size_t>(v)] != 0) continue;
-    for (const int t : coverage(v)) {
-      if (count[static_cast<std::size_t>(t)] == 1 && read_[static_cast<std::size_t>(t)] == 0) {
-        on_tag(t);
-      }
-    }
-  }
-  // Pass 4: restore scratch.
-  for (const int v : X) {
-    for (const int t : coverage(v)) count[static_cast<std::size_t>(t)] = 0;
-  }
-  for (const int v : jamming) {
-    for (const int t : coverage(v)) count[static_cast<std::size_t>(t)] = 0;
-  }
 }
 
 void System::buildInterferenceRows() {
@@ -454,12 +388,7 @@ std::vector<int> System::wellCoveredTags(std::span<const int> X,
                                          WeightScratch& scratch) const {
   if (well_covered_evals_ != nullptr) well_covered_evals_->add(1);
   std::vector<int> out;
-  if (!reference_eval_) {
-    evalBitmap(X, jamming, scratch, &out);
-  } else {
-    forEachWellCovered(X, jamming, scratch.count, scratch.victim,
-                       [&out](int t) { out.push_back(t); });
-  }
+  evalBitmap(X, jamming, scratch, &out);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -470,32 +399,18 @@ int System::weight(std::span<const int> X) const {
 
 int System::weight(std::span<const int> X, WeightScratch& scratch) const {
   if (weight_evals_ != nullptr) weight_evals_->add(1);
-  if (!reference_eval_) return evalBitmap(X, {}, scratch, nullptr);
-  int w = 0;
-  forEachWellCovered(X, {}, scratch.count, scratch.victim, [&w](int) { ++w; });
-  return w;
+  return evalBitmap(X, {}, scratch, nullptr);
 }
 
 int System::singleWeight(int v) const {
-  if (!reference_eval_) {
-    int w = 0;
-    for (const BitEntry& e : bitRow(v)) {
-      w += std::popcount(e.bits & ~read_bits_[e.word]);
-    }
-    return w;
-  }
   int w = 0;
-  for (const int t : coverage(v)) w += (read_[static_cast<std::size_t>(t)] == 0);
+  for (const BitEntry& e : bitRow(v)) {
+    w += std::popcount(e.bits & ~read_bits_[e.word]);
+  }
   return w;
 }
 
 void System::coveringReaders(geom::Vec2 pos, std::vector<int>& out) {
-  if (reader_index_ == nullptr) {
-    std::vector<geom::Vec2> reader_pos;
-    reader_pos.reserve(readers_.size());
-    for (const Reader& r : readers_) reader_pos.push_back(r.pos);
-    reader_index_ = std::make_shared<geom::SpatialGrid>(reader_pos, max_gamma_);
-  }
   // One disk query at the maximum interrogation radius, then the per-reader
   // radius filter: the grid answers "who could possibly cover pos", the
   // filter answers "who does".
@@ -723,7 +638,6 @@ int System::addTag(Tag t) {
   tags_.push_back(t);
   read_.push_back(0);
   departed_.push_back(0);
-  scratch_.count.push_back(0);
 
   std::vector<int> cs;
   coveringReaders(t.pos, cs);

@@ -44,12 +44,11 @@ struct BitEntry {
 /// Zero-initialized by System::initScratch and restored to zero after every
 /// evaluation, so one scratch serves any number of sequential calls.
 struct WeightScratch {
-  std::vector<int> count;    // per-tag coverage multiplicity within X
   std::vector<char> victim;  // per-reader RTc victim flag within X
-  // Bitmap-referee buffers (word-indexed by tag bit block): exactly-one
-  // counting accumulates `once`/`twice` over the active rows, `touched`
-  // remembers which words to zero afterwards, `marked` which victim flags,
-  // and `qbuf` backs the reader-grid victim queries.
+  // Word-indexed by tag bit block: exactly-one counting accumulates
+  // `once`/`twice` over the active rows, `touched` remembers which words to
+  // zero afterwards, `marked` which victim flags, and `qbuf` backs the
+  // reader-grid victim queries.
   std::vector<std::uint64_t> once;
   std::vector<std::uint64_t> twice;
   std::vector<int> touched;
@@ -229,17 +228,10 @@ class System {
   // tail), and reader v's row — the non-zero 64-bit words of its coverage
   // set — sits at arena rows readerRow(v), rows themselves in Morton order
   // of the reader positions.  weight(), wellCoveredTags(), singleWeight()
-  // and unreadCoverableCount() run over this index by default; the CSR
-  // element walk remains available as the reference referee
-  // (setReferenceEval).  Both paths produce bit-identical results; the
-  // incremental-index oracle verifies the bitmap against geometry exactly
-  // like the CSR (docs/performance.md).
-
-  /// Switches the referee kernels to the CSR reference path (true) or the
-  /// bitmap path (false, default).  Purely an evaluation-strategy switch:
-  /// results are identical; only speed differs.
-  void setReferenceEval(bool on) { reference_eval_ = on; }
-  bool referenceEval() const { return reference_eval_; }
+  // and unreadCoverableCount() run over this index; the tests hold them to
+  // a CSR walk (tests/reference_paths.h), and the incremental-index oracle
+  // verifies the bitmap against geometry exactly like the CSR
+  // (docs/performance.md).
 
   /// Tag t's bit position in the coverage bitmaps (Morton rank at
   /// construction; tags added later append past the construction range).
@@ -314,11 +306,6 @@ class System {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
-  template <typename OnTag>
-  void forEachWellCovered(std::span<const int> X, std::span<const int> jamming,
-                          std::span<int> count, std::span<char> victim,
-                          OnTag&& on_tag) const;
-
   /// From-scratch CSR construction (constructor and rebuildIndex); skips
   /// departed tags.
   void buildIndex();
@@ -335,8 +322,8 @@ class System {
   /// Splices tag `t`'s bit into / out of the bitmap rows of `readers`.
   void bitmapInsert(std::span<const int> readers, int t);
   void bitmapErase(std::span<const int> readers, int t);
-  /// Bitmap-path referee kernels (weight / wellCoveredTags); `out` nullptr
-  /// means count only.  Exactly-one counting over once/twice accumulators;
+  /// Referee kernels (weight / wellCoveredTags); `out` nullptr means count
+  /// only.  Exactly-one counting over once/twice accumulators;
   /// victims marked through the reader grid above a small |X| threshold.
   int evalBitmap(std::span<const int> X, std::span<const int> jamming,
                  WeightScratch& scratch, std::vector<int>* out) const;
@@ -344,7 +331,7 @@ class System {
                    WeightScratch& scratch) const;
   /// Materializes the directed interference rows (constructor only).
   void buildInterferenceRows();
-  /// Readers covering position `pos`, ascending (lazy reader grid query).
+  /// Readers covering position `pos`, ascending (reader grid query).
   void coveringReaders(geom::Vec2 pos, std::vector<int>& out);
   /// Splices tag `t` into / out of the cov rows of `readers` (ascending).
   void covInsert(std::span<const int> readers, int t);
@@ -375,7 +362,6 @@ class System {
   std::vector<int> tag_of_;                   // bit position → tag
   std::vector<std::uint64_t> read_bits_;      // read-state, word per block
   std::vector<std::uint64_t> coverable_bits_; // ≥1 coverer, word per block
-  bool reference_eval_ = false;
   std::vector<char> read_;
   // Structural-churn state.
   std::vector<char> departed_;       // tombstones (removeTag)
@@ -383,9 +369,9 @@ class System {
   std::vector<int> dirty_log_;       // reader rows touched by mutations
   std::uint64_t dirty_base_ = 0;     // log-sequence number of dirty_log_[0]
   double max_gamma_ = 1.0;           // cell size for the reader grid
-  // Lazy grid over reader positions (readers are static): built on the
-  // first addTag/moveTag, reused for every later coverer query.  Immutable
-  // and self-contained once built, so copies of the System share it.
+  // Grid over reader positions (readers are static), built by the
+  // constructor: the victim pass and every addTag/moveTag coverer query
+  // read it.  Immutable and self-contained, so copies of the System share it.
   std::shared_ptr<const geom::SpatialGrid> reader_index_;
   // Directed interference rows: intf_idx_[intf_off_[v] .. intf_off_[v+1])
   // lists the readers u != v inside v's interference disk, ascending — the

@@ -174,8 +174,6 @@ OneShotResult GrowthScheduler::schedule(const core::System& sys) {
   obs::ScopedTimer sched_span(trace() != nullptr ? metrics() : nullptr,
                               "alg2.schedule_us", trace(),
                               "alg2.schedule");
-  if (!opt_.lazy_selection) return scheduleReference(sys);
-
   ensureComponents(sys);
   const core::StandaloneWeightCache::Stats sync0 = standalone_.stats();
   standalone_.sync(sys);
@@ -241,90 +239,6 @@ OneShotResult GrowthScheduler::schedule(const core::System& sys) {
   chargeCost("alg2.bnb", bnb);
   std::sort(X.begin(), X.end());
   recordScheduleMetrics(work + stats_.bnb_nodes, stats_.picks);
-  return {X, sys.weight(X)};
-}
-
-OneShotResult GrowthScheduler::scheduleReference(const core::System& sys) {
-  const int n = sys.numReaders();
-
-  std::vector<char> alive(static_cast<std::size_t>(n), 1);
-  std::vector<int> X;
-  // Tracks X's coverage so picks and local MWFS are scored *marginally*:
-  // readers from different (graph-independent) regions can still share
-  // interrogation area and cancel each other's tags through RRc, which the
-  // paper's weight definition charges but pure local scoring would miss.
-  core::WeightEvaluator committed(sys);
-
-  // Work counting only when an observer is attached, so the detached hot
-  // loop is byte-for-byte the uninstrumented one.
-  const bool counting = countingWork();
-  std::int64_t peek_evals = 0;
-  while (true) {
-    // Cancellation checkpoint: one poll per coordinator pick.  X is
-    // feasible after every completed pick, so the partial set is a valid
-    // (if lighter) one-shot answer.
-    if (cancelled()) break;
-    // Pick the alive reader with maximum marginal standalone weight.
-    int v = -1;
-    int vw = 0;
-    for (int u = 0; u < n; ++u) {
-      if (alive[static_cast<std::size_t>(u)] == 0) continue;
-      const int w = committed.peekDelta(u);
-      if (counting) ++peek_evals;
-      if (w > vw) {
-        vw = w;
-        v = u;
-      }
-    }
-    // No alive reader can add value: adding any subset of the remaining
-    // readers is non-positive (marginal deltas are subadditive), stop.
-    if (v < 0) break;
-    ++stats_.picks;
-
-    // Grow Γ_r until inequality (1) fails (or the cap / the component edge
-    // is hit — once N stops growing, Γ stops improving and (1) fails with
-    // ratio 1 < ρ anyway).
-    std::vector<int> gamma = {v};  // Γ_0 = MWFS within {v}
-    int gamma_w = vw;
-    int rbar = 0;
-    for (int r = 0; r < opt_.hop_cap; ++r) {
-      const auto next_hood =
-          graph::kHopNeighborhoodAlive(*graph_, v, r + 1, alive);
-      // Same singleton shortcut as the lazy loop (identical stats bill).
-      if (next_hood.size() <= 1) break;
-      const BnbResult next =
-          maxWeightFeasibleSubset(sys, next_hood, opt_.node_limit, committed,
-                                  cancelToken());
-      stats_.bnb_nodes += next.nodes;
-      if (static_cast<double>(next.weight) <
-          opt_.rho * static_cast<double>(gamma_w)) {
-        break;  // first violation: keep Γ_r
-      }
-      gamma = next.members;
-      gamma_w = next.weight;
-      rbar = r + 1;
-    }
-    stats_.max_rbar = std::max(stats_.max_rbar, rbar);
-
-    X.insert(X.end(), gamma.begin(), gamma.end());
-    for (const int u : gamma) committed.push(u);
-
-    // Remove N(v)^{r̄+1}; guarantees feasibility of the union across picks.
-    for (const int u :
-         graph::kHopNeighborhoodAlive(*graph_, v, rbar + 1, alive)) {
-      alive[static_cast<std::size_t>(u)] = 0;
-    }
-  }
-
-  std::sort(X.begin(), X.end());
-  recordScheduleMetrics(peek_evals + stats_.bnb_nodes, stats_.picks);
-  {
-    obs::CostBill b;
-    b.weight_evals = peek_evals + committed.ops();
-    b.csr_rows = b.weight_evals;
-    b.bnb_nodes = stats_.bnb_nodes;
-    chargeCost("alg2.reference", b);
-  }
   return {X, sys.weight(X)};
 }
 

@@ -27,8 +27,8 @@
 // can change nothing outside its component (no shared tags ⇒ no delta
 // interaction; no edges ⇒ kills stay inside), so the components are
 // independent local subproblems solved in parallel and reduced in component
-// order.  The schedule produced is bit-identical to the reference scan for
-// every thread count; `lazy_selection = false` runs the original loop.
+// order.  The schedule produced is bit-identical to the full-scan loop
+// (tests/reference_paths.h) for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +48,8 @@ struct GrowthOptions {
   int hop_cap = 8;
   /// Node budget per local exact MWFS (0 = unlimited).
   std::int64_t node_limit = 4'000'000;
-  /// Component-partitioned lazy-greedy pick loop (default) vs the reference
-  /// full-scan loop.  Both produce the identical schedule; the reference
-  /// path exists as the equivalence-test oracle.
-  bool lazy_selection = true;
   /// Threads for the independent interaction components (0 = hardware
-  /// concurrency; effective only with lazy_selection).  Any value yields
-  /// the same schedule.
+  /// concurrency).  Any value yields the same schedule.
   int num_threads = 0;
 };
 
@@ -83,7 +78,6 @@ class GrowthScheduler final : public OneShotScheduler {
     obs::CostBill bill;     // deterministic work, reduced in component order
   };
 
-  OneShotResult scheduleReference(const core::System& sys);
   void ensureComponents(const core::System& sys);
   void runComponent(const core::System& sys, std::span<const int> comp,
                     Worker& worker, CompResult& out) const;

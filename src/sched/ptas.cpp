@@ -420,7 +420,7 @@ OneShotResult PtasScheduler::schedule(const core::System& sys) {
           }
         }
       },
-      opt_.parallel_shifts ? opt_.num_threads : 1);
+      opt_.num_threads);
 
   // Reduce in shift order: replicates the sequential loop's strict-
   // improvement, first-wins best-shift choice for any thread count.

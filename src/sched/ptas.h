@@ -73,14 +73,11 @@ struct PtasOptions {
   /// square, and context restriction stays lossless — so the result can
   /// only improve; the ablation bench compares both modes.
   bool strict_survive = false;
-  /// Solve the k² grid shifts in parallel (they are independent given the
-  /// frozen read-state; each worker evaluates weights through its own
-  /// scratch).  The per-shift results are reduced in shift order, so the
-  /// chosen set, the best shift, and the stats are identical to the
-  /// sequential loop for any thread count.  `false` forces one thread (the
-  /// equivalence-test oracle).
-  bool parallel_shifts = true;
-  /// Threads for the shift fan-out (0 = hardware concurrency).
+  /// Threads for the k² grid-shift fan-out (0 = hardware concurrency).  The
+  /// shifts are independent given the frozen read-state, each worker
+  /// evaluates weights through its own scratch, and the per-shift results
+  /// are reduced in shift order, so the chosen set, the best shift, and the
+  /// stats are identical for any value; 1 runs the sequential loop inline.
   int num_threads = 0;
 };
 

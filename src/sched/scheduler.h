@@ -120,8 +120,8 @@ class OneShotScheduler {
     if (cost_ != nullptr) cost_->charge(phase, bill);
   }
 
-  /// True when some observer wants deterministic work counts — the gate the
-  /// reference paths use around their otherwise-free tallies.
+  /// True when some observer wants deterministic work counts — the gate
+  /// around per-step tallies (GHC's climb steps) a detached run skips.
   bool countingWork() const { return metrics_ != nullptr || cost_ != nullptr; }
 
   obs::MetricsRegistry* metrics_ = nullptr;

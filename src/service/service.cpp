@@ -86,7 +86,7 @@ std::unique_ptr<sched::OneShotScheduler> makeScheduler(
     return std::make_unique<dist::GrowthDistributedScheduler>(g, o);
   }
   if (spec.algo == "ghc") {
-    return std::make_unique<sched::HillClimbingScheduler>(true);
+    return std::make_unique<sched::HillClimbingScheduler>();
   }
   if (spec.algo == "ca") {
     return std::make_unique<dist::ColorwaveScheduler>(sys, spec.seed);

@@ -1,13 +1,9 @@
 // test_bitmap_equiv.cpp — the blocked-bitmap weight referee against the
-// retained CSR reference path (docs/performance.md).
-//
-// The bitmap referee re-expresses weight(X), singleWeight(v), and
-// wellCoveredTags() as word-parallel popcount sweeps over Morton-ordered
-// coverage rows.  Every row of the equivalence matrix pins it to the CSR
-// scalar path on the same instance: raw referee calls, one-shot schedules,
-// MCS slot sequences (with and without fault injection), streaming churn,
-// and checkpoint resume must be byte-identical.  The SFC permutation that
-// underlies the layout is property-tested as a round-trip bijection.
+// CSR reference referee (tests/reference_paths.h, docs/performance.md):
+// raw referee calls on random subsets, every schedule() call of one-shot,
+// MCS (with and without faults) and resumed runs under ref::RefereeAudit,
+// and streaming churn.  The SFC permutation under the layout is
+// property-tested as a round-trip bijection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,17 +16,21 @@
 #include <vector>
 
 #include "check/index_oracle.h"
+#include "check/invariants.h"
 #include "ckpt/budget.h"
 #include "ckpt/mcs_ckpt.h"
 #include "fault/fault_plan.h"
 #include "geometry/morton.h"
 #include "graph/interference_graph.h"
+#include "reference_paths.h"
 #include "sched/growth.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"
 
 namespace rfid::core {
 namespace {
+
+namespace ref = test::ref;
 
 System bitmapSystem(std::uint64_t seed, int n = 70, int m = 1200) {
   return test::smallRandomSystem(seed, n, m, /*side=*/60.0);
@@ -40,11 +40,7 @@ System bitmapSystem(std::uint64_t seed, int n = 70, int m = 1200) {
 
 TEST(BitmapEquiv, RefereeMatchesCsrOnRandomSubsets) {
   for (const std::uint64_t seed : test::seedRange(101, test::iterBudget(4))) {
-    System fast = bitmapSystem(seed);
-    System ref = bitmapSystem(seed);
-    ref.setReferenceEval(true);
-    ASSERT_FALSE(fast.referenceEval());
-    ASSERT_TRUE(ref.referenceEval());
+    System sys = bitmapSystem(seed);
 
     std::mt19937 rng(static_cast<unsigned>(seed));
     for (int round = 0; round < 12; ++round) {
@@ -52,43 +48,36 @@ TEST(BitmapEquiv, RefereeMatchesCsrOnRandomSubsets) {
       // must agree on weights and on the exact well-covered tag sets.
       std::vector<int> x;
       std::vector<int> jam;
-      for (int v = 0; v < fast.numReaders(); ++v) {
+      for (int v = 0; v < sys.numReaders(); ++v) {
         const unsigned r = rng() % 8;
         if (r < 2) x.push_back(v);
         else if (r == 2) jam.push_back(v);
       }
-      ASSERT_EQ(fast.weight(x), ref.weight(x)) << "seed " << seed;
-      ASSERT_EQ(fast.wellCoveredTags(x, jam), ref.wellCoveredTags(x, jam))
+      ASSERT_EQ(sys.weight(x), ref::weight(sys, x)) << "seed " << seed;
+      const std::vector<int> served = sys.wellCoveredTags(x, jam);
+      ASSERT_EQ(served, ref::wellCoveredTags(sys, x, jam))
           << "seed " << seed << " round " << round;
       for (const int v : x) {
-        ASSERT_EQ(fast.singleWeight(v), ref.singleWeight(v));
+        ASSERT_EQ(sys.singleWeight(v), ref::singleWeight(sys, v));
       }
+      ASSERT_EQ(sys.unreadCoverableCount(), ref::unreadCoverableCount(sys));
       // Consume some of the served tags so later rounds see a different
       // read-state (the bitmap referee masks read bits word-parallel).
-      const std::vector<int> served = fast.wellCoveredTags(x, jam);
-      for (std::size_t i = 0; i < served.size(); i += 3) {
-        fast.markRead(served[i]);
-        ref.markRead(served[i]);
-      }
+      for (std::size_t i = 0; i < served.size(); i += 3) sys.markRead(served[i]);
     }
   }
 }
 
-// ---- one-shot and MCS schedule equivalence across referee paths ----
+// ---- every schedule() call of one-shot and MCS runs, audited ----
 
 TEST(BitmapEquiv, OneShotScheduleIdenticalAcrossReferees) {
   for (const std::uint64_t seed : test::seedRange(111, test::iterBudget(3))) {
-    System fast = bitmapSystem(seed);
-    System ref = bitmapSystem(seed);
-    ref.setReferenceEval(true);
-    const graph::InterferenceGraph gf(fast);
-    const graph::InterferenceGraph gr(ref);
-    sched::GrowthScheduler sf(gf);
-    sched::GrowthScheduler sr(gr);
-    const sched::OneShotResult a = sf.schedule(fast);
-    const sched::OneShotResult b = sr.schedule(ref);
-    EXPECT_EQ(a.readers, b.readers) << "seed " << seed;
-    EXPECT_EQ(a.weight, b.weight) << "seed " << seed;
+    System sys = bitmapSystem(seed);
+    const graph::InterferenceGraph g(sys);
+    sched::GrowthScheduler alg2(g);
+    ref::RefereeAudit audit(alg2);
+    const sched::OneShotResult a = audit.schedule(sys);
+    EXPECT_EQ(a.weight, ref::weight(sys, a.readers)) << "seed " << seed;
   }
 }
 
@@ -105,23 +94,27 @@ void expectSameMcs(const sched::McsResult& a, const sched::McsResult& b,
   }
 }
 
+/// Alg2 MCS on bitmapSystem(seed), every schedule() call audited.
+sched::McsResult auditedMcs(std::uint64_t seed, const sched::McsOptions& opt) {
+  System sys = bitmapSystem(seed);
+  const graph::InterferenceGraph g(sys);
+  sched::GrowthScheduler alg2(g);
+  ref::RefereeAudit audit(alg2);
+  const sched::McsResult res = sched::runCoveringSchedule(sys, audit, opt);
+  EXPECT_EQ(audit.calls(), res.slots) << "seed " << seed;
+  return res;
+}
+
 TEST(BitmapEquiv, McsSlotSequencesIdenticalAcrossReferees) {
   for (const std::uint64_t seed : test::seedRange(121, test::iterBudget(2))) {
-    sched::McsResult want;
-    {
-      System sys = bitmapSystem(seed);
-      sys.setReferenceEval(true);
-      const graph::InterferenceGraph g(sys);
-      sched::GrowthScheduler s(g);
-      want = sched::runCoveringSchedule(sys, s, {});
-    }
-    {
-      System sys = bitmapSystem(seed);
-      const graph::InterferenceGraph g(sys);
-      sched::GrowthScheduler s(g);
-      const sched::McsResult got = sched::runCoveringSchedule(sys, s, {});
-      expectSameMcs(want, got, "mcs seed " + std::to_string(seed));
-    }
+    const sched::McsResult audited = auditedMcs(seed, {});
+    EXPECT_TRUE(audited.completed) << "seed " << seed;
+    // The audit only observes: the plain run commits the same slots.
+    System sys = bitmapSystem(seed);
+    const graph::InterferenceGraph g(sys);
+    sched::GrowthScheduler s(g);
+    expectSameMcs(audited, sched::runCoveringSchedule(sys, s, {}),
+                  "mcs seed " + std::to_string(seed));
   }
 }
 
@@ -130,24 +123,19 @@ TEST(BitmapEquiv, FaultInjectedMcsIdenticalAcrossReferees) {
   plan.addCrash(2, 1, -1, /*loud=*/true);
   plan.addCrash(7, 0, -1, /*loud=*/false);
 
-  sched::McsResult want;
-  {
-    System sys = bitmapSystem(131);
-    sys.setReferenceEval(true);
-    const graph::InterferenceGraph g(sys);
-    sched::GrowthScheduler s(g);
-    sched::McsOptions opt;
-    opt.faults = &plan;
-    want = sched::runCoveringSchedule(sys, s, opt);
-  }
-  {
-    System sys = bitmapSystem(131);
-    const graph::InterferenceGraph g(sys);
-    sched::GrowthScheduler s(g);
-    sched::McsOptions opt;
-    opt.faults = &plan;
-    expectSameMcs(want, sched::runCoveringSchedule(sys, s, opt), "fault mcs");
-  }
+  // The audit pins every referee answer the scheduler consumes; the
+  // driver's jammed verdicts (live set vs the loud-crashed radiators) are
+  // re-derived from raw geometry by the invariant oracle.
+  check::CheckOptions co;
+  co.faults = &plan;
+  check::ScheduleValidator val(co);
+  sched::McsOptions opt;
+  opt.faults = &plan;
+  opt.validator = &val;
+  const sched::McsResult audited = auditedMcs(131, opt);
+  EXPECT_TRUE(val.ok());
+  EXPECT_EQ(val.slotsChecked(), audited.slots);
+  EXPECT_GT(audited.degradation.faulty_slots, 0) << "the plan never fired";
 }
 
 // ---- streaming churn: incremental bitmap maintenance vs rebuild ----
@@ -181,13 +169,13 @@ TEST(BitmapEquiv, ChurnedBitmapMatchesRebuildAndCsr) {
       }
     }
     // The incrementally patched bitmap must agree with the CSR referee on
-    // every single-reader weight, with the oracle's independent geometry
-    // rebuild, and with its own from-scratch reconstruction.
-    System ref = sys;  // same churned state
-    ref.setReferenceEval(true);
+    // every single-reader weight and the coverable count, with the oracle's
+    // independent geometry rebuild, and with its own from-scratch
+    // reconstruction.
     for (int v = 0; v < sys.numReaders(); ++v) {
-      ASSERT_EQ(sys.singleWeight(v), ref.singleWeight(v)) << "reader " << v;
+      ASSERT_EQ(sys.singleWeight(v), ref::singleWeight(sys, v)) << "reader " << v;
     }
+    ASSERT_EQ(sys.unreadCoverableCount(), ref::unreadCoverableCount(sys));
     check::IncrementalIndexOracle oracle;
     EXPECT_EQ(oracle.verify(sys, /*slot=*/0), check::IndexVerdict::kOk)
         << "seed " << seed;
@@ -207,7 +195,7 @@ TEST(BitmapEquiv, OracleDetectsAndHealsBitmapDesync) {
   EXPECT_EQ(oracle.verify(sys, 2), check::IndexVerdict::kOk);
 }
 
-// ---- checkpoint resume across referee paths ----
+// ---- checkpoint resume, audited on both sides ----
 
 TEST(BitmapEquiv, ResumedRunMatchesUninterruptedReferenceReferee) {
   namespace fs = std::filesystem;
@@ -216,14 +204,7 @@ TEST(BitmapEquiv, ResumedRunMatchesUninterruptedReferenceReferee) {
   std::remove(path.c_str());
   std::remove((path + ".snap").c_str());
 
-  sched::McsResult want;
-  {
-    System sys = bitmapSystem(161);
-    sys.setReferenceEval(true);
-    const graph::InterferenceGraph g(sys);
-    sched::GrowthScheduler s(g);
-    want = sched::runCoveringSchedule(sys, s, {});
-  }
+  const sched::McsResult want = auditedMcs(161, {});
   ASSERT_GE(want.slots, 3) << "instance too easy to test a mid-run resume";
 
   {
@@ -244,18 +225,23 @@ TEST(BitmapEquiv, ResumedRunMatchesUninterruptedReferenceReferee) {
     ASSERT_TRUE(run.result.interrupted);
   }
   {
+    // The resume replays the journaled slots through the live loop, so the
+    // audit covers the replayed calls as well as the continuation.
     System sys = bitmapSystem(161);
     const graph::InterferenceGraph g(sys);
     sched::GrowthScheduler s(g);
+    ref::RefereeAudit audit(s);
     ckpt::CheckpointSetup setup;
     setup.path = path;
     setup.resume = true;
     setup.seed = 161;
     const ckpt::CheckpointedRun run =
-        ckpt::runMcsCheckpointed(sys, s, {}, setup);
+        ckpt::runMcsCheckpointed(sys, audit, {}, setup);
     ASSERT_TRUE(run.ok) << run.error;
     ASSERT_FALSE(run.result.interrupted);
-    expectSameMcs(want, run.result, "resumed vs reference referee");
+    EXPECT_EQ(run.replayed_slots, 2);
+    EXPECT_EQ(audit.calls(), run.result.slots);
+    expectSameMcs(want, run.result, "resumed vs uninterrupted, both audited");
   }
   std::remove(path.c_str());
   std::remove((path + ".snap").c_str());

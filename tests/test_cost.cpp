@@ -20,6 +20,7 @@
 #include "graph/interference_graph.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
+#include "reference_paths.h"
 #include "sched/growth.h"
 #include "sched/mcs.h"
 #include "sched/ptas.h"
@@ -188,15 +189,17 @@ TEST(CostDeterminism, PtasShiftAttributionIsThreadCountInvariant) {
 }
 
 TEST(CostDeterminism, LazyAndReferencePathsChargeTheSameRefereeBill) {
-  // The lazy and reference selection paths legitimately differ in *search*
-  // cost (that asymmetry is the whole point of the lazy path), but the MCS
-  // referee's bill depends only on the schedule — which is identical.
+  // The lazy selection and the full-scan reference legitimately differ in
+  // *search* cost (that asymmetry is the whole point of the lazy path), but
+  // the MCS referee's bill depends only on the schedule — which is
+  // identical.
   const auto refereeBill = [](bool lazy) {
     core::System sys = test::smallRandomSystem(kSeed + 2, 20, 300, 65.0);
     const graph::InterferenceGraph g(sys);
-    sched::GrowthOptions o;
-    o.lazy_selection = lazy;
-    sched::GrowthScheduler alg2(g, o);
+    sched::GrowthScheduler fast(g);
+    test::ref::ScanGrowthScheduler scan(g);
+    sched::OneShotScheduler& alg2 =
+        lazy ? static_cast<sched::OneShotScheduler&>(fast) : scan;
     obs::CostLedger ledger;
     alg2.attachCost(&ledger);
     sched::McsOptions opt;

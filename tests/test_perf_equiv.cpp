@@ -2,10 +2,12 @@
 // scheduled set (docs/performance.md).
 //
 // Every optimized selection path (CSR + inverted index, lazy-greedy queue,
-// component / shift parallelism) is compared against the retained reference
-// path on the same instance: one-shot results, MCS slot sequences (with and
-// without fault injection), stats, and checkpoint/resume continuations must
-// all be byte-identical, for every thread count.
+// component / shift parallelism) is compared against its reference on the
+// same instance — the full-scan Alg2 (tests/reference_paths.h), the scan
+// GHC, and the PTAS shift loop at one thread: one-shot results, MCS slot
+// sequences (with and without fault injection), stats, and
+// checkpoint/resume continuations must all be byte-identical, for every
+// thread count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,11 +21,13 @@
 #include "core/weight.h"
 #include "fault/fault_plan.h"
 #include "graph/interference_graph.h"
+#include "reference_paths.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
 #include "sched/ptas.h"
 #include "test_helpers.h"
+#include "workload/scenario.h"
 
 namespace rfid::sched {
 namespace {
@@ -137,9 +141,7 @@ TEST(PerfEquiv, GrowthLazyAndParallelMatchReference) {
     core::System sys = midSystem(seed);
     const graph::InterferenceGraph g(sys);
 
-    GrowthOptions ref_opt;
-    ref_opt.lazy_selection = false;
-    GrowthScheduler ref(g, ref_opt);
+    test::ref::ScanGrowthScheduler ref(g);
     const OneShotResult want = ref.schedule(sys);
 
     for (const int threads : {1, 3}) {
@@ -172,7 +174,7 @@ TEST(PerfEquiv, PtasParallelShiftsMatchSequential) {
     core::System sys = midSystem(seed, 60, 900);
 
     PtasOptions ref_opt;
-    ref_opt.parallel_shifts = false;
+    ref_opt.num_threads = 1;
     PtasScheduler ref(ref_opt);
     const OneShotResult want = ref.schedule(sys);
 
@@ -197,15 +199,13 @@ TEST(PerfEquiv, PtasParallelShiftsMatchSequential) {
 
 TEST(PerfEquiv, McsSlotSequencesIdenticalAcrossPaths) {
   for (const std::uint64_t seed : test::seedRange(51, test::iterBudget(2))) {
-    // alg2: reference vs lazy vs lazy-parallel, fresh System per run (the
+    // alg2: full scan vs lazy vs lazy-parallel, fresh System per run (the
     // driver consumes the read-state).
     McsResult want;
     {
       core::System sys = midSystem(seed);
       const graph::InterferenceGraph g(sys);
-      GrowthOptions o;
-      o.lazy_selection = false;
-      GrowthScheduler s(g, o);
+      test::ref::ScanGrowthScheduler s(g);
       want = runCoveringSchedule(sys, s, {});
     }
     for (const int threads : {1, 3}) {
@@ -247,9 +247,7 @@ TEST(PerfEquiv, FaultInjectedMcsIdenticalAcrossPaths) {
   {
     core::System sys = midSystem(61);
     const graph::InterferenceGraph g(sys);
-    GrowthOptions o;
-    o.lazy_selection = false;
-    GrowthScheduler s(g, o);
+    test::ref::ScanGrowthScheduler s(g);
     McsOptions opt;
     opt.faults = &plan;
     want = runCoveringSchedule(sys, s, opt);
@@ -292,14 +290,12 @@ TEST(PerfEquiv, ResumedLazyRunMatchesUninterruptedReference) {
   std::remove(path.c_str());
   std::remove((path + ".snap").c_str());
 
-  // Uninterrupted run on the reference path.
+  // Uninterrupted run on the full-scan reference.
   McsResult want;
   {
     core::System sys = midSystem(71);
     const graph::InterferenceGraph g(sys);
-    GrowthOptions o;
-    o.lazy_selection = false;
-    GrowthScheduler s(g, o);
+    test::ref::ScanGrowthScheduler s(g);
     want = runCoveringSchedule(sys, s, {});
   }
   ASSERT_GE(want.slots, 3) << "instance too easy to test a mid-run resume";
@@ -340,6 +336,24 @@ TEST(PerfEquiv, ResumedLazyRunMatchesUninterruptedReference) {
   }
   std::remove(path.c_str());
   std::remove((path + ".snap").c_str());
+}
+
+// ---- the bitmap referee at the CI large-n instance ----
+
+TEST(BitmapEquiv, LargeAlg2McsMatchesCsrReferee) {
+  // The CI instance (`--readers 20000 --tags 200000 --side 2000 --seed 99`),
+  // every slot audited.  In the integration binary: sanitized, it is slow.
+  workload::Scenario sc = workload::paperScenario(10.0, 4.0);
+  sc.deploy.num_readers = 20000;
+  sc.deploy.num_tags = 200000;
+  sc.deploy.region_side = 2000.0;
+  core::System sys = workload::makeSystem(sc, 99);
+  const graph::InterferenceGraph g(sys);
+  GrowthScheduler alg2(g);
+  test::ref::RefereeAudit audit(alg2);
+  const McsResult res = runCoveringSchedule(sys, audit, {});
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(audit.calls(), res.slots);
 }
 
 }  // namespace

@@ -17,9 +17,8 @@
 # the JSON then holds the before/after trajectory side by side
 # (docs/performance.md explains how to read it).
 #
-# CLI mode flags (--ref-eval / --threads) that the binary under test does
-# not support are skipped, so the same script runs against any library
-# version.
+# CLI mode flags (--threads) that the binary under test does not support are
+# skipped, so the same script runs against any library version.
 set -eu
 
 BUILD_DIR=${1:?usage: bench_record.sh <build-dir> <label> [out.json]}
@@ -75,7 +74,6 @@ cli_run() {
 }
 : > "$TMP/cli_times.txt"
 cli_run default
-cli_run reference --ref-eval
 cli_run single_thread --threads 1
 
 # Service saturation point (PR7): closed-loop capacity probe plus the

@@ -10,14 +10,12 @@
 //                 [--cost PATH] [--prom PATH]
 //                 [--checkpoint PATH] [--resume]
 //                 [--deadline-ms N] [--max-slots N]
-//                 [--threads N] [--ref-eval] [--check[=paranoid]]
+//                 [--threads N] [--check[=paranoid]]
 //
 // --threads caps the worker threads the parallel schedulers (alg1 shift
 // fan-out, alg2 component fan-out) may use; 0 picks the hardware
-// concurrency.  --ref-eval runs the retained reference selection paths
-// (full rescans, sequential shifts) instead of the lazy/parallel hot paths
-// — the schedules are identical either way (docs/performance.md), the flag
-// exists for benchmarking and equivalence checks.
+// concurrency.  The schedules are identical at every thread count
+// (docs/performance.md).
 //
 // Prints a human-readable report; --svg additionally renders the (first)
 // slot decision.  --save writes the generated deployment to PATH (CSV) and
@@ -148,7 +146,6 @@ struct Cli {
   double rho = 1.25;
   int k = 4;
   int threads = 0;       // 0 = hardware concurrency
-  bool ref_eval = false; // reference selection paths (oracle / baseline)
   bool check = false;           // arm the invariant oracle
   bool check_paranoid = false;  // per-slot bitmap/referee cross-checks
   // Streaming (--mode stream only).
@@ -209,9 +206,6 @@ void usage() {
       "                  schedule (mcs mode only)\n"
       "  --max-slots N   stop after N committed slots (mcs mode only)\n"
       "  --threads N     worker threads for parallel schedulers (0 = auto)\n"
-      "  --ref-eval      use the reference selection paths and the CSR\n"
-      "                  reference weight referee (same schedules, no\n"
-      "                  lazy/parallel/bitmap speedups; for benchmarking)\n"
       "  --check         re-verify every slot from first principles (the\n"
       "                  invariant oracle, docs/testing.md); verdicts go to\n"
       "                  stderr, violations exit 5\n"
@@ -350,7 +344,6 @@ bool parse(int argc, char** argv, Cli& cli) {
     else if (a == "--gen2-mpr" && (v = next())) cli.gen2_mpr = std::atoi(v);
     else if (a == "--gen2-persistence" && (v = next())) cli.gen2_persistence = std::atoi(v);
     else if (a == "--gen2-policy" && (v = next())) cli.gen2_policy = v;
-    else if (a == "--ref-eval") cli.ref_eval = true;
     else if (a == "--check") cli.check = true;
     else if (a == "--check=paranoid") {
       cli.check = true;
@@ -535,9 +528,6 @@ int main(int argc, char** argv) {
       std::exit(2);
     }
   }();
-  // --ref-eval switches the System referee to the CSR reference path too, so
-  // the flag exercises the whole reference stack (selection + weights).
-  sys.setReferenceEval(cli.ref_eval);
   sys.attachMetrics(metrics);
   if (!cli.save_path.empty()) {
     if (!workload::saveDeploymentFile(cli.save_path, sys)) {
@@ -552,13 +542,11 @@ int main(int argc, char** argv) {
   if (cli.algo == "alg1") {
     sched::PtasOptions o;
     o.k = cli.k;
-    o.parallel_shifts = !cli.ref_eval;
     o.num_threads = cli.threads;
     scheduler = std::make_unique<sched::PtasScheduler>(o);
   } else if (cli.algo == "alg2") {
     sched::GrowthOptions o;
     o.rho = cli.rho;
-    o.lazy_selection = !cli.ref_eval;
     o.num_threads = cli.threads;
     scheduler = std::make_unique<sched::GrowthScheduler>(g, o);
   } else if (cli.algo == "alg3") {
@@ -566,7 +554,7 @@ int main(int argc, char** argv) {
     o.rho = cli.rho;
     scheduler = std::make_unique<dist::GrowthDistributedScheduler>(g, o);
   } else if (cli.algo == "ghc") {
-    scheduler = std::make_unique<sched::HillClimbingScheduler>(!cli.ref_eval);
+    scheduler = std::make_unique<sched::HillClimbingScheduler>();
   } else if (cli.algo == "ca") {
     scheduler = std::make_unique<dist::ColorwaveScheduler>(sys, cli.seed);
   } else if (cli.algo == "exact") {

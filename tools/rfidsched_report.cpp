@@ -11,10 +11,10 @@
 // check summaries.  At least one input file is required.
 //
 // --baseline-metrics loads a second run and appends a counter-by-counter
-// comparison (baseline / current / ratio) — pointing it at a --ref-eval
-// run's metrics reproduces the lazy-vs-reference weight-eval headline from
-// docs/performance.md straight from recorded telemetry.  --baseline-cost
-// additionally compares total cost-ledger work units.
+// comparison (baseline / current / ratio) — pointing it at the same command
+// run on an older build shows what a change did to every work counter,
+// straight from recorded telemetry.  --baseline-cost additionally compares
+// total cost-ledger work units.
 //
 // --svg renders the per-slot timeline (tags delivered, work units) as a
 // line chart.  --mask-wall blanks every wall-clock figure and switches
