@@ -16,25 +16,17 @@ std::uint64_t deploymentHash(const core::System& sys) {
 
 namespace {
 
-CheckpointedRun failClosed(std::string error) {
-  CheckpointedRun run;
-  run.ok = false;
-  run.error = std::move(error);
-  return run;
-}
-
 /// Names the first identity field that disagrees, for an actionable error.
 std::string describeHeaderMismatch(const JournalHeader& want,
-                                   const JournalHeader& got) {
+                                   const JournalHeader& got,
+                                   const char* deployment_mismatch) {
   if (got.version != want.version) return "journal version mismatch";
   if (got.algo != want.algo) {
     return "algorithm mismatch: journal records '" + got.algo +
            "', this run uses '" + want.algo + "'";
   }
   if (got.seed != want.seed) return "seed mismatch";
-  if (got.deployment_hash != want.deployment_hash) {
-    return "deployment mismatch: journal belongs to a different deployment";
-  }
+  if (got.deployment_hash != want.deployment_hash) return deployment_mismatch;
   if (got.fault_hash != want.fault_hash) {
     return "fault-plan mismatch: journal recorded a different fault script";
   }
@@ -62,74 +54,71 @@ std::optional<Snapshot> loadSnapshot(const std::string& snap_path,
 
 }  // namespace
 
-CheckpointedRun runMcsCheckpointed(core::System& sys,
-                                   sched::OneShotScheduler& scheduler,
-                                   sched::McsOptions opt,
-                                   const CheckpointSetup& setup) {
-  opt.journal = nullptr;
-  opt.resume = nullptr;
-  if (setup.path.empty()) {
-    CheckpointedRun run;
-    run.result = sched::runCoveringSchedule(sys, scheduler, opt);
-    return run;
-  }
-
+std::string openJournal(const CheckpointSetup& setup, const std::string& algo,
+                        std::uint64_t deployment_hash,
+                        const char* deployment_mismatch,
+                        JournalSession& session, sched::McsLoopOptions& opt) {
   JournalHeader header;
-  header.algo = scheduler.name();
+  header.algo = algo;
   header.seed = setup.seed;
-  header.deployment_hash = deploymentHash(sys);
-  header.fault_hash =
-      opt.faults != nullptr ? opt.faults->fingerprint() : 0;
+  header.deployment_hash = deployment_hash;
+  header.fault_hash = opt.faults != nullptr ? opt.faults->fingerprint() : 0;
 
-  JournalWriter writer;
-  writer.snapshot_every = setup.snapshot_every;
-
-  JournalData data;
-  bool resuming = false;
+  session.writer.snapshot_every = setup.snapshot_every;
   std::string err;
   const bool exists = static_cast<bool>(std::ifstream(setup.path));
   if ((setup.resume || setup.auto_resume) && exists) {
     std::optional<JournalData> loaded = readJournal(setup.path, &err);
-    if (!loaded.has_value()) return failClosed(err);
+    if (!loaded.has_value()) return err;
     if (!(loaded->header == header)) {
-      return failClosed(describeHeaderMismatch(header, loaded->header));
+      return describeHeaderMismatch(header, loaded->header,
+                                    deployment_mismatch);
     }
-    data = std::move(*loaded);
-    data.snapshot =
+    session.data = std::move(*loaded);
+    session.data.snapshot =
         loadSnapshot(setup.path + ".snap", header.deployment_hash,
-                     static_cast<int>(data.slots.size()));
-    if (!writer.openAppend(setup.path, header, data.valid_bytes, &err)) {
-      return failClosed(err);
+                     static_cast<int>(session.data.slots.size()));
+    if (!session.writer.openAppend(setup.path, header,
+                                   session.data.valid_bytes, &err)) {
+      return err;
     }
-    resuming = true;
+    opt.resume = &session.data;
   } else if (setup.resume) {
-    return failClosed("cannot resume: no journal at " + setup.path);
+    return "cannot resume: no journal at " + setup.path;
   } else {
     // Fresh run.  create() itself refuses to clobber an existing journal
     // (O_EXCL), which turns "forgot --resume" into a loud error instead of
     // a silently discarded run history.
-    if (!writer.create(setup.path, header, &err)) return failClosed(err);
+    if (!session.writer.create(setup.path, header, &err)) return err;
   }
+  opt.journal = &session.writer;
+  return "";
+}
 
-  opt.journal = &writer;
-  opt.resume = resuming ? &data : nullptr;
-
-  CheckpointedRun run;
-  run.resumed = resuming;
-  run.result = sched::runCoveringSchedule(sys, scheduler, opt);
-  run.replayed_slots = run.result.replayed_slots;
-  if (run.result.stop == sched::McsStop::kJournalError) {
-    run.ok = false;
-    run.error = "journal write failed at slot " +
-                std::to_string(run.result.slots) + " (disk full?)";
-  } else if (run.result.stop == sched::McsStop::kReplayMismatch) {
-    run.ok = false;
-    run.error =
-        "replay diverged from journal at slot " +
-        std::to_string(run.result.replayed_slots) +
-        " (journal was recorded by a different run configuration?)";
+std::string journalRunError(const sched::McsLoopResult& res) {
+  if (res.stop == sched::McsStop::kJournalError) {
+    return "journal write failed at slot " + std::to_string(res.slots) +
+           " (disk full?)";
   }
-  return run;
+  if (res.stop == sched::McsStop::kReplayMismatch) {
+    return "replay diverged from journal at slot " +
+           std::to_string(res.replayed_slots) +
+           " (journal was recorded by a different run configuration?)";
+  }
+  return "";
+}
+
+CheckpointedRun runMcsCheckpointed(core::System& sys,
+                                   sched::OneShotScheduler& scheduler,
+                                   sched::McsOptions opt,
+                                   const CheckpointSetup& setup) {
+  return runJournaled<sched::McsResult>(
+      std::move(opt), setup, scheduler.name(),
+      [&sys] { return deploymentHash(sys); },
+      "deployment mismatch: journal belongs to a different deployment",
+      [&](const sched::McsOptions& o) {
+        return sched::runCoveringSchedule(sys, scheduler, o);
+      });
 }
 
 }  // namespace rfid::ckpt

@@ -1,12 +1,14 @@
 // mcs_ckpt.h — journaled MCS runs: create / validate / resume in one call
 // (docs/recovery.md).
 //
-// runMcsCheckpointed() is the policy layer above the mechanism split
-// between ckpt/journal.h (record durability) and sched/mcs.h (verified
-// deterministic replay).  It derives the run identity (algorithm name,
-// seed, deployment hash, fault-plan fingerprint), validates any existing
-// journal against it, loads the sidecar snapshot for the boundary
-// cross-check, and hands the driver a writer opened in the right mode:
+// openJournal() is the policy layer above the mechanism split between
+// ckpt/journal.h (record durability) and the MCS slot loop (verified
+// deterministic replay); runMcsCheckpointed() and the streaming driver's
+// runStreamingCheckpointed() both run through it.  It derives the run
+// identity (algorithm name, seed, deployment hash, fault-plan fingerprint),
+// validates any existing journal against it, loads the sidecar snapshot for
+// the boundary cross-check, and hands the driver a writer opened in the
+// right mode:
 //
 //   * fresh run:   create the journal (refusing to clobber an existing
 //                  one — resume it or remove it explicitly);
@@ -47,8 +49,11 @@ struct CheckpointSetup {
   std::uint64_t seed = 0;
 };
 
-struct CheckpointedRun {
-  sched::McsResult result;
+/// A journaled run's outcome: runMcsCheckpointed's, and (as
+/// sched::StreamingCheckpointedRun) runStreamingCheckpointed's.
+template <class Result>
+struct BasicCheckpointedRun {
+  Result result;
   /// True when an existing journal was validated and replayed.
   bool resumed = false;
   /// Committed slots re-verified from the journal (== result.replayed_slots).
@@ -60,6 +65,8 @@ struct CheckpointedRun {
   std::string error;
 };
 
+using CheckpointedRun = BasicCheckpointedRun<sched::McsResult>;
+
 /// Runs the covering-schedule loop with crash-safe journaling per `setup`.
 /// `opt.journal` / `opt.resume` are overwritten; every other McsOptions
 /// field (budget included) passes through to the driver.  With an empty
@@ -68,5 +75,59 @@ CheckpointedRun runMcsCheckpointed(core::System& sys,
                                    sched::OneShotScheduler& scheduler,
                                    sched::McsOptions opt,
                                    const CheckpointSetup& setup);
+
+/// A journal opened by openJournal; it must outlive the run it is attached
+/// to.
+struct JournalSession {
+  JournalWriter writer;
+  JournalData data;
+};
+
+/// The create / validate / resume policy (header comment), shared by both
+/// journaled drivers.  Opens `setup.path` for the run identified by `algo`,
+/// setup.seed, `deployment_hash` and opt.faults, and attaches it to `opt`:
+/// opt.journal always, opt.resume when an existing journal was validated.
+/// Returns "" on success, else the fail-closed error; `deployment_mismatch`
+/// is the error for a journal of another deployment (it names what
+/// `deployment_hash` covers).
+std::string openJournal(const CheckpointSetup& setup, const std::string& algo,
+                        std::uint64_t deployment_hash,
+                        const char* deployment_mismatch,
+                        JournalSession& session, sched::McsLoopOptions& opt);
+
+/// The error a journaled run failed closed with mid-run (journal write
+/// failure, replay divergence), or "" when it did not.
+std::string journalRunError(const sched::McsLoopResult& res);
+
+/// The body of runMcsCheckpointed and sched::runStreamingCheckpointed:
+/// runs `drive(opt)` journaled per `setup`.  `deployment_hash()` is called
+/// only when journaling; with an empty `setup.path` this is exactly
+/// drive(opt) with opt.journal and opt.resume cleared.
+template <class Result, class Options, class Hash, class Drive>
+BasicCheckpointedRun<Result> runJournaled(Options opt,
+                                          const CheckpointSetup& setup,
+                                          const std::string& algo,
+                                          Hash deployment_hash,
+                                          const char* deployment_mismatch,
+                                          Drive drive) {
+  opt.journal = nullptr;
+  opt.resume = nullptr;
+  BasicCheckpointedRun<Result> run;
+  JournalSession session;
+  if (!setup.path.empty()) {
+    run.error = openJournal(setup, algo, deployment_hash(),
+                            deployment_mismatch, session, opt);
+    if (!run.error.empty()) {
+      run.ok = false;
+      return run;
+    }
+  }
+  run.resumed = opt.resume != nullptr;
+  run.result = drive(opt);
+  run.replayed_slots = run.result.replayed_slots;
+  run.error = journalRunError(run.result);
+  run.ok = run.error.empty();
+  return run;
+}
 
 }  // namespace rfid::ckpt

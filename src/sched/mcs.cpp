@@ -1,17 +1,19 @@
 #include "sched/mcs.h"
 
-#include <algorithm>
-
 #include "check/invariants.h"
 #include "ckpt/journal.h"
 #include "fault/channel_model.h"
 #include "fault/fault_plan.h"
-#include "obs/timer.h"
+#include "sched/mcs_loop.h"
 
 namespace rfid::sched {
 
-/// Waiting for an orphaned tag would only spin the stall counter.  Three
-/// ways a permanent (never-recovering) failure orphans a tag at `slot`:
+namespace {
+
+/// Unread coverable tags no future slot can serve at `slot` under the
+/// plan's *permanent* failures.  Waiting for an orphaned tag would only spin
+/// the stall counter.  Three ways a permanent (never-recovering) failure
+/// orphans a tag at `slot`:
 ///   1. every coverer is permanently dead;
 ///   2. the tag sits in a permanently-loud reader's interrogation disk, so
 ///      its coverage multiplicity is >= 2 in every future slot (RRc);
@@ -54,8 +56,6 @@ int countMcsOrphans(const core::System& sys, const fault::FaultPlan& plan,
   return orphans;
 }
 
-namespace {
-
 /// BudgetStop -> McsStop (kNone only when the budget did not fire).
 McsStop budgetStop(ckpt::BudgetStop bs) {
   switch (bs) {
@@ -82,50 +82,38 @@ const char* mcsStopName(McsStop s) {
   return "?";
 }
 
-McsResult runCoveringSchedule(core::System& sys, OneShotScheduler& scheduler,
-                              const McsOptions& opt) {
-  McsResult res;
-  res.uncoverable = sys.unreadCount() - sys.unreadCoverableCount();
-
-  // Root of the causal span tree; every mcs.slot span (and, through the
-  // thread stack, the scheduler spans under it) nests here.  Wall-clock
-  // histogram only when tracing, like the per-slot spans.
-  obs::ScopedTimer run_span(opt.trace != nullptr ? opt.metrics : nullptr,
-                            "mcs.run_us", opt.trace, "mcs.run");
-
-  // The whole fault machinery is gated on one flag: with no plan (or an
-  // all-zero one) every slot takes exactly the pre-fault sequence of calls,
-  // so such runs are bit-identical to the un-instrumented driver.
-  const fault::FaultPlan* plan = opt.faults;
-  const bool faulty = plan != nullptr && !plan->empty();
-
+McsSlotLoop::McsSlotLoop(core::System& sys, OneShotScheduler& scheduler,
+                         const McsLoopOptions& opt,
+                         check::ScheduleValidator* validator,
+                         McsLoopResult& res)
+    : sys_(sys),
+      scheduler_(scheduler),
+      opt_(opt),
+      validator_(validator),
+      res_(res),
+      plan_(opt.faults),
+      faulty_(plan_ != nullptr && !plan_->empty()),
+      checkpointing_(opt.journal != nullptr || opt.resume != nullptr),
+      // Wall-clock histogram only when tracing, like the per-slot spans.
+      run_span_(opt.trace != nullptr ? opt.metrics : nullptr, "mcs.run_us",
+                opt.trace, "mcs.run") {
   // Resolve counter handles once; the loop then pays one pointer test per
   // slot when observability is detached.
-  obs::Counter* c_slots = nullptr;
-  obs::Counter* c_tags = nullptr;
-  obs::Counter* c_stalls = nullptr;
-  obs::Histogram* h_proposed = nullptr;
-  obs::Histogram* h_tags = nullptr;
-  if (opt.metrics != nullptr) {
-    c_slots = &opt.metrics->counter("mcs.slots");
-    c_tags = &opt.metrics->counter("mcs.tags_read");
-    c_stalls = &opt.metrics->counter("mcs.stall_slots");
-    h_proposed = &opt.metrics->histogram("mcs.slot_proposed_readers");
-    h_tags = &opt.metrics->histogram("mcs.slot_tags_read");
+  if (opt_.metrics != nullptr) {
+    c_slots_ = &opt_.metrics->counter("mcs.slots");
+    c_tags_ = &opt_.metrics->counter("mcs.tags_read");
+    c_stalls_ = &opt_.metrics->counter("mcs.stall_slots");
+    h_proposed_ = &opt_.metrics->histogram("mcs.slot_proposed_readers");
+    h_tags_ = &opt_.metrics->histogram("mcs.slot_tags_read");
   }
   // fault.mcs.* counters exist only on fault-injected runs so that clean
   // runs export the exact pre-fault metrics JSON.
-  obs::Counter* c_crashed = nullptr;
-  obs::Counter* c_replanned = nullptr;
-  obs::Counter* c_missed = nullptr;
-  obs::Counter* c_faulty_slots = nullptr;
-  obs::Counter* c_slots_lost = nullptr;
-  if (opt.metrics != nullptr && faulty) {
-    c_crashed = &opt.metrics->counter("fault.mcs.crashed_activations");
-    c_replanned = &opt.metrics->counter("fault.mcs.replanned_activations");
-    c_missed = &opt.metrics->counter("fault.mcs.tags_missed");
-    c_faulty_slots = &opt.metrics->counter("fault.mcs.faulty_slots");
-    c_slots_lost = &opt.metrics->counter("fault.mcs.slots_lost");
+  if (opt_.metrics != nullptr && faulty_) {
+    c_crashed_ = &opt_.metrics->counter("fault.mcs.crashed_activations");
+    c_replanned_ = &opt_.metrics->counter("fault.mcs.replanned_activations");
+    c_missed_ = &opt_.metrics->counter("fault.mcs.tags_missed");
+    c_faulty_slots_ = &opt_.metrics->counter("fault.mcs.faulty_slots");
+    c_slots_lost_ = &opt_.metrics->counter("fault.mcs.slots_lost");
   }
   // ckpt.* counters are *logical*: they count committed slots and due
   // snapshot boundaries, bumped identically whether a slot is replay-
@@ -134,330 +122,353 @@ McsResult runCoveringSchedule(core::System& sys, OneShotScheduler& scheduler,
   // spans, snapshot writes) rides on kCkpt trace events only.  They exist
   // only when checkpointing is attached, keeping plain runs bit-identical
   // to the pre-checkpoint driver.
-  const bool checkpointing = opt.journal != nullptr || opt.resume != nullptr;
-  obs::Counter* c_ckpt_slots = nullptr;
-  obs::Counter* c_ckpt_snaps = nullptr;
-  if (opt.metrics != nullptr && checkpointing) {
-    c_ckpt_slots = &opt.metrics->counter("ckpt.slots_committed");
-    c_ckpt_snaps = &opt.metrics->counter("ckpt.snapshots");
+  if (opt_.metrics != nullptr && checkpointing_) {
+    c_ckpt_slots_ = &opt_.metrics->counter("ckpt.slots_committed");
+    c_ckpt_snaps_ = &opt_.metrics->counter("ckpt.snapshots");
+  }
+  if (faulty_ && opt_.reprobe_interval > 0) {
+    trusted_from_.assign(static_cast<std::size_t>(sys_.numReaders()), 0);
+  }
+}
+
+bool McsSlotLoop::step(int clock, bool settled) {
+  committed_ = false;
+  if (opt_.budget != nullptr) {
+    const ckpt::BudgetStop bs = opt_.budget->charge(res_.slots);
+    if (bs != ckpt::BudgetStop::kNone) {
+      res_.interrupted = true;
+      res_.stop = budgetStop(bs);
+      return false;
+    }
+  }
+  if (opt_.progress != nullptr) {
+    opt_.progress->fetch_add(1, std::memory_order_relaxed);
+  }
+  // While a resume journal still has records ahead of the committed-slot
+  // index we are replaying: the slot is recomputed through this exact body
+  // and verified against its record instead of being appended.
+  const bool replaying =
+      opt_.resume != nullptr &&
+      res_.slots < static_cast<int>(opt_.resume->slots.size());
+  if (settled && faulty_ && plan_->hasPermanentDeaths()) {
+    const int orphans = countMcsOrphans(sys_, *plan_, clock);
+    if (orphans >= sys_.unreadCoverableCount()) {
+      res_.degradation.tags_orphaned = orphans;
+      return false;  // everything still unread is unservable forever
+    }
+  }
+  if (opt_.channel != nullptr) opt_.channel->setSlot(clock);
+
+  // Baseline for this slot's bill: committed slots get the ledger delta
+  // accrued between here and the commit point below.
+  obs::CostBill slot_base;
+  if (opt_.cost != nullptr) slot_base = opt_.cost->total();
+
+  // Wall-clock span only when tracing (see McsLoopOptions doc).
+  obs::ScopedTimer span(opt_.trace != nullptr ? opt_.metrics : nullptr,
+                        "mcs.slot_us", opt_.trace, "mcs.slot",
+                        obs::EventKind::kSlot);
+  const OneShotResult one = scheduler_.schedule(sys_);
+  if (opt_.budget != nullptr && opt_.budget->token().cancelled()) {
+    // The proposal was (or may have been) computed under a fired token —
+    // the scheduler could have returned a truncated search result.
+    // Discard it, so the committed prefix of an interrupted run is always
+    // a prefix of the uninterrupted trajectory (the anytime contract).
+    res_.interrupted = true;
+    res_.stop = budgetStop(opt_.budget->charge(res_.slots));
+    return false;
   }
 
-  // Failure-detector memory: reader -> first slot at which it is trusted
-  // again.  Populated when a crashed activation is observed, consulted to
-  // strip ("re-plan around") benched readers from later proposals.
-  std::vector<int> trusted_from;
-  if (faulty && opt.reprobe_interval > 0) {
-    trusted_from.assign(static_cast<std::size_t>(sys.numReaders()), 0);
+  int crashed_here = 0;
+  int replanned_here = 0;
+  int missed_here = 0;
+  int ideal_here = 0;
+  bool slot_faulty = false;
+  bool slot_lost = false;
+  // Hoisted from the faulty branch so the validator can see the executed
+  // split; on the clean path both stay empty (no allocation, no referee
+  // change).
+  std::vector<int> live;
+  std::vector<int> jamming;
+  if (!faulty_) {
+    served_ = sys_.wellCoveredTags(one.readers);
+  } else {
+    // Split the proposal: benched readers are stripped (the driver
+    // re-planned around a known failure), crashed ones read nothing.
+    live.reserve(one.readers.size());
+    for (const int v : one.readers) {
+      if (!trusted_from_.empty() &&
+          trusted_from_[static_cast<std::size_t>(v)] > clock) {
+        ++replanned_here;
+        continue;
+      }
+      if (plan_->crashed(v, clock)) {
+        ++crashed_here;
+        if (!trusted_from_.empty()) {
+          trusted_from_[static_cast<std::size_t>(v)] =
+              clock + 1 + opt_.reprobe_interval;
+        }
+        continue;
+      }
+      live.push_back(v);
+    }
+    // Every loud-crashed reader jams while crashed, proposed or not — a
+    // stuck transmitter does not wait for an activation and re-planning
+    // cannot silence it.  The referee charges its RRc multiplicity and
+    // RTc victimization against the live set.
+    for (const int v : plan_->loudAt(clock)) {
+      if (v >= 0 && v < sys_.numReaders()) jamming.push_back(v);
+    }
+    served_ = sys_.wellCoveredTags(live, jamming);
+    // Interrogation misses: a well-covered tag can still fail its
+    // inventory round; it stays unread and future slots retry it.
+    if (plan_->hasMissFaults()) {
+      std::vector<int> kept;
+      kept.reserve(served_.size());
+      for (const int t : served_) {
+        if (plan_->drawMiss(clock, t)) {
+          ++missed_here;
+        } else {
+          kept.push_back(t);
+        }
+      }
+      served_ = std::move(kept);
+    }
+    // The no-fault counterfactual for degradation accounting: what this
+    // exact proposal would have served on ideal hardware.
+    ideal_here = static_cast<int>(sys_.wellCoveredTags(one.readers).size());
+    McsDegradation& d = res_.degradation;
+    d.ideal_tags_read += ideal_here;
+    d.crashed_activations += crashed_here;
+    d.replanned_activations += replanned_here;
+    d.tags_missed += missed_here;
+    slot_faulty =
+        crashed_here + replanned_here + missed_here > 0 ||
+        (!jamming.empty() && static_cast<int>(served_.size()) != ideal_here);
+    slot_lost = slot_faulty && served_.empty() && ideal_here > 0;
+    d.faulty_slots += slot_faulty ? 1 : 0;
+    d.slots_lost += slot_lost ? 1 : 0;
+    if (c_crashed_ != nullptr) {
+      c_crashed_->add(crashed_here);
+      c_replanned_->add(replanned_here);
+      c_missed_->add(missed_here);
+      if (slot_faulty) c_faulty_slots_->add(1);
+      if (slot_lost) c_slots_lost_->add(1);
+    }
+    if (opt_.trace != nullptr && slot_faulty) {
+      opt_.trace->instant(
+          obs::EventKind::kFault, "fault.mcs.slot",
+          {{"slot", static_cast<double>(clock)},
+           {"crashed", static_cast<double>(crashed_here)},
+           {"replanned", static_cast<double>(replanned_here)},
+           {"missed", static_cast<double>(missed_here)},
+           {"served", static_cast<double>(served_.size())},
+           {"ideal", static_cast<double>(ideal_here)}});
+    }
   }
+
+  // The referee's own deterministic work: one wellCoveredTags evaluation
+  // on the clean path; the faulty path adds the jam-aware split and the
+  // ideal counterfactual.  csr_rows counts the coverage rows each
+  // evaluation walks (one per activated/jamming reader).
+  if (opt_.cost != nullptr) {
+    obs::CostBill ref;
+    if (!faulty_) {
+      ref.weight_evals = 1;
+      ref.csr_rows = static_cast<std::int64_t>(one.readers.size());
+    } else {
+      ref.weight_evals = 2;
+      ref.csr_rows = static_cast<std::int64_t>(
+          live.size() + jamming.size() + one.readers.size());
+    }
+    opt_.cost->charge("mcs.referee", ref);
+  }
+
+  // The oracle re-derives this slot's verdict from raw geometry and the
+  // plan before anything is made durable: a fail-fast violation aborts
+  // with the slot neither journaled nor marked read.
+  if (validator_ != nullptr &&
+      !validator_->checkSlot(sys_, clock, one,
+                             faulty_ ? std::span<const int>(live)
+                                     : std::span<const int>(one.readers),
+                             jamming, served_)) {
+    res_.stop = McsStop::kCheckFailed;
+    return false;
+  }
+
+  if (checkpointing_) {
+    // The journal record of this slot: everything the replay validator
+    // needs to re-verify the deterministic recomputation above.
+    ckpt::SlotEntry entry;
+    entry.slot = res_.slots;
+    entry.active = one.readers;
+    entry.served = served_;
+    entry.crashed = crashed_here;
+    entry.replanned = replanned_here;
+    entry.missed = missed_here;
+    entry.ideal = ideal_here;
+    entry.faulty = slot_faulty;
+    entry.lost = slot_lost;
+    entry.epoch = faulty_ ? plan_->epochAt(clock) : 0;
+    entry.fp = scheduler_.stateFingerprint();
+    if (replaying) {
+      if (!(entry ==
+            opt_.resume->slots[static_cast<std::size_t>(res_.slots)])) {
+        // The replay diverged from the recorded run — different binary,
+        // environment, or a corrupted-but-CRC-valid record.  Fail closed
+        // without committing the divergent slot.
+        res_.stop = McsStop::kReplayMismatch;
+        return false;
+      }
+    } else if (opt_.journal != nullptr) {
+      if (!opt_.journal->appendSlot(entry)) {
+        // Could not make the slot durable (disk full, journal closed):
+        // stop before committing it, so the journal and the returned
+        // result agree on the committed prefix.
+        res_.stop = McsStop::kJournalError;
+        return false;
+      }
+    }
+  }
+  sys_.markRead(served_);
+  if (opt_.on_commit) opt_.on_commit(res_.slots, one.readers, served_);
+  committed_ = true;
+
+  SlotRecord rec;
+  rec.active = one.readers;
+  rec.tags_read = static_cast<int>(served_.size());
+  res_.schedule.push_back(std::move(rec));
+  ++res_.slots;
+  res_.tags_read += static_cast<int>(served_.size());
+
+  if (opt_.cost != nullptr) {
+    // The slot is committed: its bill is everything charged since the
+    // slot's baseline (scheduler phases + referee).  Aborted slots never
+    // reach here, so Σ slot bills tracks the committed prefix exactly.
+    obs::CostBill slot_bill = opt_.cost->total();
+    slot_bill.subtract(slot_base);
+    opt_.cost->commitSlot(slot_bill);
+  }
+
+  if (served_.empty()) {
+    ++stall_;
+  } else {
+    stall_ = 0;
+  }
+
+  if (c_slots_ != nullptr) {
+    c_slots_->add(1);
+    c_tags_->add(static_cast<std::int64_t>(served_.size()));
+    if (served_.empty()) c_stalls_->add(1);
+    h_proposed_->record(static_cast<double>(one.readers.size()));
+    h_tags_->record(static_cast<double>(served_.size()));
+  }
+  if (opt_.trace != nullptr) {
+    span.arg("slot", static_cast<double>(res_.slots));
+    span.arg("proposed", static_cast<double>(one.readers.size()));
+    span.arg("claimed_weight", static_cast<double>(one.weight));
+    span.arg("delivered", static_cast<double>(served_.size()));
+    span.arg("stall", static_cast<double>(stall_));
+  }
+
+  if (checkpointing_) {
+    if (c_ckpt_slots_ != nullptr) c_ckpt_slots_->add(1);
+    if (replaying) {
+      ++res_.replayed_slots;
+      // Cross-check the loaded snapshot against the replayed read-state
+      // at its boundary: a bitmap that disagrees with the journal it
+      // rode beside means one of the two is lying.
+      if (opt_.resume->snapshot.has_value() &&
+          opt_.resume->snapshot->slot == res_.slots) {
+        const ckpt::Snapshot& snap = *opt_.resume->snapshot;
+        bool match = static_cast<int>(snap.read.size()) == sys_.numTags();
+        for (int t = 0; match && t < sys_.numTags(); ++t) {
+          match = (snap.read[static_cast<std::size_t>(t)] != 0) ==
+                  sys_.isRead(t);
+        }
+        if (!match) {
+          res_.stop = McsStop::kReplayMismatch;
+          return false;
+        }
+      }
+    }
+    if (opt_.journal != nullptr && opt_.journal->snapshotDue(res_.slots)) {
+      if (c_ckpt_snaps_ != nullptr) c_ckpt_snaps_->add(1);
+      if (!replaying) {
+        ckpt::Snapshot snap;
+        snap.slot = res_.slots;
+        snap.read.resize(static_cast<std::size_t>(sys_.numTags()), 0);
+        for (int t = 0; t < sys_.numTags(); ++t) {
+          snap.read[static_cast<std::size_t>(t)] = sys_.isRead(t) ? 1 : 0;
+        }
+        if (!opt_.journal->writeSnapshot(snap)) {
+          res_.stop = McsStop::kJournalError;
+          return false;
+        }
+        if (opt_.trace != nullptr) {
+          opt_.trace->instant(obs::EventKind::kCkpt, "ckpt.snapshot",
+                              {{"slot", static_cast<double>(res_.slots)}});
+        }
+      }
+    }
+  }
+
+  return !(served_.empty() && stall_ >= opt_.max_stall);
+}
+
+void McsSlotLoop::finish(int clock_end) {
+  if (res_.stop == McsStop::kNone && !res_.interrupted &&
+      opt_.resume != nullptr &&
+      res_.replayed_slots < static_cast<int>(opt_.resume->slots.size())) {
+    // Natural termination (covered / stalled / slot cap) with journal
+    // records still unconsumed: the recorded run committed slots past the
+    // point where this trajectory ends, so the two diverged.  Fail closed.
+    res_.stop = McsStop::kReplayMismatch;
+  }
+  if (faulty_ && plan_->hasPermanentDeaths() &&
+      res_.degradation.tags_orphaned == 0) {
+    // Caps may have ended the loop before the orphan check ran; settle the
+    // final accounting against the last executed slot.
+    res_.degradation.tags_orphaned =
+        countMcsOrphans(sys_, *plan_, clock_end > 0 ? clock_end - 1 : 0);
+  }
+  if (opt_.metrics != nullptr && faulty_) {
+    opt_.metrics->gauge("fault.mcs.tags_orphaned")
+        .set(static_cast<double>(res_.degradation.tags_orphaned));
+    opt_.metrics->gauge("fault.mcs.ideal_tags_read")
+        .set(static_cast<double>(res_.degradation.ideal_tags_read));
+  }
+}
+
+void McsSlotLoop::traceDone(bool completed) {
+  if (opt_.trace == nullptr) return;
+  if (res_.replayed_slots > 0) {
+    opt_.trace->instant(obs::EventKind::kCkpt, "ckpt.replay",
+                        {{"slots", static_cast<double>(res_.replayed_slots)}});
+  }
+  opt_.trace->instant(obs::EventKind::kSpan, "mcs.done",
+                      {{"slots", static_cast<double>(res_.slots)},
+                       {"tags_read", static_cast<double>(res_.tags_read)},
+                       {"completed", completed ? 1.0 : 0.0}});
+}
+
+McsResult runCoveringSchedule(core::System& sys, OneShotScheduler& scheduler,
+                              const McsOptions& opt) {
+  McsResult res;
+  res.uncoverable = sys.unreadCount() - sys.unreadCoverableCount();
+  McsSlotLoop loop(sys, scheduler, opt, opt.validator, res);
 
   // The oracle refuses to referee a System whose derived structures already
   // contradict raw geometry (fail-fast only; otherwise it records the
   // violations and watches the run anyway).
-  bool check_failed = false;
-  if (opt.validator != nullptr && !opt.validator->beginRun(sys)) {
-    res.stop = McsStop::kCheckFailed;
-    check_failed = true;
+  bool more = opt.validator == nullptr || opt.validator->beginRun(sys);
+  if (!more) res.stop = McsStop::kCheckFailed;
+  // The static driver's clock is the committed-slot index.
+  while (more && sys.unreadCoverableCount() > 0 && res.slots < opt.max_slots) {
+    more = loop.step(res.slots, /*settled=*/true);
   }
-
-  int stall = 0;
-  while (!check_failed && sys.unreadCoverableCount() > 0 &&
-         res.slots < opt.max_slots) {
-    if (opt.budget != nullptr) {
-      const ckpt::BudgetStop bs = opt.budget->charge(res.slots);
-      if (bs != ckpt::BudgetStop::kNone) {
-        res.interrupted = true;
-        res.stop = budgetStop(bs);
-        break;
-      }
-    }
-    if (opt.progress != nullptr) {
-      opt.progress->fetch_add(1, std::memory_order_relaxed);
-    }
-    const int q = res.slots;  // slot index the fault plan speaks in
-    // While a resume journal still has records ahead of q we are replaying:
-    // the slot is recomputed through this exact loop body and verified
-    // against its record instead of being appended.
-    const bool replaying =
-        opt.resume != nullptr &&
-        q < static_cast<int>(opt.resume->slots.size());
-    if (faulty && plan->hasPermanentDeaths()) {
-      const int orphans = countMcsOrphans(sys, *plan, q);
-      if (orphans >= sys.unreadCoverableCount()) {
-        res.degradation.tags_orphaned = orphans;
-        break;  // everything still unread is unservable forever
-      }
-    }
-    if (opt.channel != nullptr) opt.channel->setSlot(q);
-
-    // Baseline for this slot's bill: committed slots get the ledger delta
-    // accrued between here and the commit point below.
-    obs::CostBill slot_base;
-    if (opt.cost != nullptr) slot_base = opt.cost->total();
-
-    // Wall-clock span only when tracing (see McsOptions doc).
-    obs::ScopedTimer span(opt.trace != nullptr ? opt.metrics : nullptr,
-                          "mcs.slot_us", opt.trace, "mcs.slot",
-                          obs::EventKind::kSlot);
-    const OneShotResult one = scheduler.schedule(sys);
-    if (opt.budget != nullptr && opt.budget->token().cancelled()) {
-      // The proposal was (or may have been) computed under a fired token —
-      // the scheduler could have returned a truncated search result.
-      // Discard it, so the committed prefix of an interrupted run is always
-      // a prefix of the uninterrupted trajectory (the anytime contract).
-      res.interrupted = true;
-      res.stop = budgetStop(opt.budget->charge(res.slots));
-      break;
-    }
-
-    std::vector<int> served;
-    int crashed_here = 0;
-    int replanned_here = 0;
-    int missed_here = 0;
-    int ideal_here = 0;
-    bool slot_faulty = false;
-    bool slot_lost = false;
-    // Hoisted from the faulty branch so the validator can see the executed
-    // split; on the clean path both stay empty (no allocation, no referee
-    // change).
-    std::vector<int> live;
-    std::vector<int> jamming;
-    if (!faulty) {
-      served = sys.wellCoveredTags(one.readers);
-    } else {
-      // Split the proposal: benched readers are stripped (the driver
-      // re-planned around a known failure), crashed ones read nothing.
-      live.reserve(one.readers.size());
-      for (const int v : one.readers) {
-        if (!trusted_from.empty() && trusted_from[static_cast<std::size_t>(v)] > q) {
-          ++replanned_here;
-          continue;
-        }
-        if (plan->crashed(v, q)) {
-          ++crashed_here;
-          if (!trusted_from.empty()) {
-            trusted_from[static_cast<std::size_t>(v)] = q + 1 + opt.reprobe_interval;
-          }
-          continue;
-        }
-        live.push_back(v);
-      }
-      // Every loud-crashed reader jams while crashed, proposed or not — a
-      // stuck transmitter does not wait for an activation and re-planning
-      // cannot silence it.  The referee charges its RRc multiplicity and
-      // RTc victimization against the live set.
-      for (const int v : plan->loudAt(q)) {
-        if (v >= 0 && v < sys.numReaders()) jamming.push_back(v);
-      }
-      served = sys.wellCoveredTags(live, jamming);
-      // Interrogation misses: a well-covered tag can still fail its
-      // inventory round; it stays unread and future slots retry it.
-      if (plan->hasMissFaults()) {
-        std::vector<int> kept;
-        kept.reserve(served.size());
-        for (const int t : served) {
-          if (plan->drawMiss(q, t)) {
-            ++missed_here;
-          } else {
-            kept.push_back(t);
-          }
-        }
-        served = std::move(kept);
-      }
-      // The no-fault counterfactual for degradation accounting: what this
-      // exact proposal would have served on ideal hardware.
-      ideal_here = static_cast<int>(sys.wellCoveredTags(one.readers).size());
-      res.degradation.ideal_tags_read += ideal_here;
-      res.degradation.crashed_activations += crashed_here;
-      res.degradation.replanned_activations += replanned_here;
-      res.degradation.tags_missed += missed_here;
-      slot_faulty =
-          crashed_here + replanned_here + missed_here > 0 ||
-          (!jamming.empty() && static_cast<int>(served.size()) != ideal_here);
-      slot_lost = slot_faulty && served.empty() && ideal_here > 0;
-      res.degradation.faulty_slots += slot_faulty ? 1 : 0;
-      res.degradation.slots_lost += slot_lost ? 1 : 0;
-      if (c_crashed != nullptr) {
-        c_crashed->add(crashed_here);
-        c_replanned->add(replanned_here);
-        c_missed->add(missed_here);
-        if (slot_faulty) c_faulty_slots->add(1);
-        if (slot_lost) c_slots_lost->add(1);
-      }
-      if (opt.trace != nullptr && slot_faulty) {
-        opt.trace->instant(
-            obs::EventKind::kFault, "fault.mcs.slot",
-            {{"slot", static_cast<double>(q)},
-             {"crashed", static_cast<double>(crashed_here)},
-             {"replanned", static_cast<double>(replanned_here)},
-             {"missed", static_cast<double>(missed_here)},
-             {"served", static_cast<double>(served.size())},
-             {"ideal", static_cast<double>(ideal_here)}});
-      }
-    }
-
-    // The referee's own deterministic work: one wellCoveredTags evaluation
-    // on the clean path; the faulty path adds the jam-aware split and the
-    // ideal counterfactual.  csr_rows counts the coverage rows each
-    // evaluation walks (one per activated/jamming reader).
-    if (opt.cost != nullptr) {
-      obs::CostBill ref;
-      if (!faulty) {
-        ref.weight_evals = 1;
-        ref.csr_rows = static_cast<std::int64_t>(one.readers.size());
-      } else {
-        ref.weight_evals = 2;
-        ref.csr_rows = static_cast<std::int64_t>(
-            live.size() + jamming.size() + one.readers.size());
-      }
-      opt.cost->charge("mcs.referee", ref);
-    }
-
-    // The oracle re-derives this slot's verdict from raw geometry and the
-    // plan before anything is made durable: a fail-fast violation aborts
-    // with the slot neither journaled nor marked read.
-    if (opt.validator != nullptr &&
-        !opt.validator->checkSlot(
-            sys, q, one,
-            faulty ? std::span<const int>(live)
-                   : std::span<const int>(one.readers),
-            jamming, served)) {
-      res.stop = McsStop::kCheckFailed;
-      break;
-    }
-
-    if (checkpointing) {
-      // The journal record of this slot: everything the replay validator
-      // needs to re-verify the deterministic recomputation above.
-      ckpt::SlotEntry entry;
-      entry.slot = q;
-      entry.active = one.readers;
-      entry.served = served;
-      entry.crashed = crashed_here;
-      entry.replanned = replanned_here;
-      entry.missed = missed_here;
-      entry.ideal = ideal_here;
-      entry.faulty = slot_faulty;
-      entry.lost = slot_lost;
-      entry.epoch = faulty ? plan->epochAt(q) : 0;
-      entry.fp = scheduler.stateFingerprint();
-      if (replaying) {
-        if (!(entry == opt.resume->slots[static_cast<std::size_t>(q)])) {
-          // The replay diverged from the recorded run — different binary,
-          // environment, or a corrupted-but-CRC-valid record.  Fail closed
-          // without committing the divergent slot.
-          res.stop = McsStop::kReplayMismatch;
-          break;
-        }
-      } else if (opt.journal != nullptr) {
-        if (!opt.journal->appendSlot(entry)) {
-          // Could not make the slot durable (disk full, journal closed):
-          // stop before committing it, so the journal and the returned
-          // result agree on the committed prefix.
-          res.stop = McsStop::kJournalError;
-          break;
-        }
-      }
-    }
-    sys.markRead(served);
-    if (opt.on_commit) opt.on_commit(res.slots, one.readers, served);
-
-    SlotRecord rec;
-    rec.active = one.readers;
-    rec.tags_read = static_cast<int>(served.size());
-    res.schedule.push_back(std::move(rec));
-    ++res.slots;
-    res.tags_read += static_cast<int>(served.size());
-
-    if (opt.cost != nullptr) {
-      // The slot is committed: its bill is everything charged since the
-      // slot's baseline (scheduler phases + referee).  Aborted slots never
-      // reach here, so Σ slot bills tracks the committed prefix exactly.
-      obs::CostBill slot_bill = opt.cost->total();
-      slot_bill.subtract(slot_base);
-      opt.cost->commitSlot(slot_bill);
-    }
-
-    if (served.empty()) {
-      ++stall;
-    } else {
-      stall = 0;
-    }
-
-    if (c_slots != nullptr) {
-      c_slots->add(1);
-      c_tags->add(static_cast<std::int64_t>(served.size()));
-      if (served.empty()) c_stalls->add(1);
-      h_proposed->record(static_cast<double>(one.readers.size()));
-      h_tags->record(static_cast<double>(served.size()));
-    }
-    if (opt.trace != nullptr) {
-      span.arg("slot", static_cast<double>(res.slots));
-      span.arg("proposed", static_cast<double>(one.readers.size()));
-      span.arg("claimed_weight", static_cast<double>(one.weight));
-      span.arg("delivered", static_cast<double>(served.size()));
-      span.arg("stall", static_cast<double>(stall));
-    }
-
-    if (checkpointing) {
-      if (c_ckpt_slots != nullptr) c_ckpt_slots->add(1);
-      if (replaying) {
-        ++res.replayed_slots;
-        // Cross-check the loaded snapshot against the replayed read-state
-        // at its boundary: a bitmap that disagrees with the journal it
-        // rode beside means one of the two is lying.
-        if (opt.resume->snapshot.has_value() &&
-            opt.resume->snapshot->slot == res.slots) {
-          const ckpt::Snapshot& snap = *opt.resume->snapshot;
-          bool match = static_cast<int>(snap.read.size()) == sys.numTags();
-          for (int t = 0; match && t < sys.numTags(); ++t) {
-            match = (snap.read[static_cast<std::size_t>(t)] != 0) ==
-                    sys.isRead(t);
-          }
-          if (!match) {
-            res.stop = McsStop::kReplayMismatch;
-            break;
-          }
-        }
-      }
-      if (opt.journal != nullptr && opt.journal->snapshotDue(res.slots)) {
-        if (c_ckpt_snaps != nullptr) c_ckpt_snaps->add(1);
-        if (!replaying) {
-          ckpt::Snapshot snap;
-          snap.slot = res.slots;
-          snap.read.resize(static_cast<std::size_t>(sys.numTags()), 0);
-          for (int t = 0; t < sys.numTags(); ++t) {
-            snap.read[static_cast<std::size_t>(t)] = sys.isRead(t) ? 1 : 0;
-          }
-          if (!opt.journal->writeSnapshot(snap)) {
-            res.stop = McsStop::kJournalError;
-            break;
-          }
-          if (opt.trace != nullptr) {
-            opt.trace->instant(obs::EventKind::kCkpt, "ckpt.snapshot",
-                               {{"slot", static_cast<double>(res.slots)}});
-          }
-        }
-      }
-    }
-
-    if (served.empty() && stall >= opt.max_stall) break;
-  }
-  if (res.stop == McsStop::kNone && !res.interrupted &&
-      opt.resume != nullptr &&
-      res.replayed_slots < static_cast<int>(opt.resume->slots.size())) {
-    // Natural termination (covered / stalled / slot cap) with journal
-    // records still unconsumed: the recorded run committed slots past the
-    // point where this trajectory ends, so the two diverged.  Fail closed.
-    res.stop = McsStop::kReplayMismatch;
-  }
+  loop.finish(res.slots);
   res.completed = sys.unreadCoverableCount() == 0;
-  if (faulty && plan->hasPermanentDeaths() &&
-      res.degradation.tags_orphaned == 0) {
-    // Caps may have ended the loop before the orphan check ran; settle the
-    // final accounting against the last executed slot.
-    res.degradation.tags_orphaned =
-        countMcsOrphans(sys, *plan, res.slots > 0 ? res.slots - 1 : 0);
-  }
   // Run postconditions.  Skipped when the run already failed closed mid-slot
   // (check / journal / replay): those paths leave a checked-but-uncommitted
   // slot behind, so the oracle's ledger legitimately leads the System.
@@ -468,23 +479,7 @@ McsResult runCoveringSchedule(core::System& sys, OneShotScheduler& scheduler,
       res.stop = McsStop::kCheckFailed;
     }
   }
-  if (opt.metrics != nullptr && faulty) {
-    opt.metrics->gauge("fault.mcs.tags_orphaned")
-        .set(static_cast<double>(res.degradation.tags_orphaned));
-    opt.metrics->gauge("fault.mcs.ideal_tags_read")
-        .set(static_cast<double>(res.degradation.ideal_tags_read));
-  }
-
-  if (opt.trace != nullptr && res.replayed_slots > 0) {
-    opt.trace->instant(obs::EventKind::kCkpt, "ckpt.replay",
-                       {{"slots", static_cast<double>(res.replayed_slots)}});
-  }
-  if (opt.trace != nullptr) {
-    opt.trace->instant(obs::EventKind::kSpan, "mcs.done",
-                       {{"slots", static_cast<double>(res.slots)},
-                        {"tags_read", static_cast<double>(res.tags_read)},
-                        {"completed", res.completed ? 1.0 : 0.0}});
-  }
+  loop.traceDone(res.completed);
   return res;
 }
 

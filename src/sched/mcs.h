@@ -19,6 +19,9 @@
 // and the loop terminates early once every remaining coverable tag is
 // orphaned by permanently dead readers.  An empty plan takes none of these
 // paths — the run is bit-identical to one with no plan at all.
+//
+// The slot body lives once, in sched/mcs_loop.h: runCoveringSchedule and
+// the streaming driver (sched/streaming.h) both run it.
 #pragma once
 
 #include <atomic>
@@ -48,8 +51,12 @@ class ScheduleValidator;
 
 namespace rfid::sched {
 
-struct McsOptions {
-  /// Absolute slot cap (guards against pathological schedulers).
+/// The MCS slot loop's options, shared by both drivers: runCoveringSchedule
+/// here and runStreamingMcs (sched/streaming.h).  Each driver adds its own
+/// fields in a derived struct (McsOptions, StreamingOptions).
+struct McsLoopOptions {
+  /// Absolute cap on committed slots (guards against pathological
+  /// schedulers).  A stream's idle fast-forwarded slots are free.
   int max_slots = 100000;
   /// Abort after this many consecutive zero-progress slots.  A stalled
   /// randomized baseline (Colorwave before convergence) may waste slots;
@@ -80,7 +87,9 @@ struct McsOptions {
   /// `channel` is stepped to the current slot index before every schedule()
   /// call so an attached distributed scheduler sees the same outage window
   /// the referee charges.  With `faults` null or empty the driver takes the
-  /// exact pre-fault code path (bit-identical results and metrics).
+  /// exact pre-fault code path (bit-identical results and metrics).  Both
+  /// speak in the driver's clock: the committed-slot index for the static
+  /// driver, the stream clock (busy + idle slots) for a stream.
   const fault::FaultPlan* faults = nullptr;
   fault::ChannelModel* channel = nullptr;
   /// A reader seen crashed stays benched ("suspected dead") for this many
@@ -115,6 +124,21 @@ struct McsOptions {
   /// is bit-identical to the pre-checkpoint driver.
   ckpt::JournalWriter* journal = nullptr;
   const ckpt::JournalData* resume = nullptr;
+  /// Commit hook (optional).  Called once per committed slot, after the
+  /// referee's verdict is applied (markRead) — arguments are the
+  /// committed-slot index (never a stream's clock), the proposed active
+  /// set, and the served tags.  Fires on replayed resumes too (they
+  /// recompute every slot through the same loop), so an observer's totals
+  /// match a fresh run.  The hook observes and must not mutate the system;
+  /// nullptr keeps the driver bit-identical to the pre-hook one.  Used by
+  /// the link-layer co-simulation (protocol/) to consume slots online
+  /// without sched depending on protocol.
+  std::function<void(int slot, std::span<const int> active,
+                     std::span<const int> served)>
+      on_commit;
+};
+
+struct McsOptions : McsLoopOptions {
   /// Runtime invariant oracle (optional; check/invariants.h).  The driver
   /// calls beginRun before the loop, checkSlot on every slot *before*
   /// committing it (journal append / markRead), and checkRun after natural
@@ -124,17 +148,6 @@ struct McsOptions {
   /// reprobe_interval as this struct.  nullptr: the driver is bit-identical
   /// to the unchecked one.
   check::ScheduleValidator* validator = nullptr;
-  /// Commit hook (optional).  Called once per committed slot, after the
-  /// referee's verdict is applied (markRead) — arguments are the slot index,
-  /// the proposed active set, and the served tags.  Fires on replayed
-  /// resumes too (they recompute every slot through the same loop), so an
-  /// observer's totals match a fresh run.  The hook observes and must not
-  /// mutate the system; nullptr keeps the driver bit-identical to the
-  /// pre-hook one.  Used by the link-layer co-simulation (protocol/) to
-  /// consume slots online without sched depending on protocol.
-  std::function<void(int slot, std::span<const int> active,
-                     std::span<const int> served)>
-      on_commit;
 };
 
 /// Why runCoveringSchedule returned (kNone: natural termination — covered,
@@ -183,19 +196,18 @@ struct McsDegradation {
   int ideal_tags_read = 0;
 };
 
-struct McsResult {
-  /// The size of the covering schedule: total slots consumed, including
-  /// zero-progress slots (they cost real time on air).
+/// The MCS slot loop's results, shared by both drivers (McsResult,
+/// StreamingResult).
+struct McsLoopResult {
+  /// Committed slots, including zero-progress slots (they cost real time
+  /// on air).  For the static driver this is the size of the covering
+  /// schedule.
   int slots = 0;
   int tags_read = 0;
   /// Unread tags that no reader covers (can never be served — excluded
   /// from the covering requirement, Definition 4 covers only the monitored
   /// region M).
   int uncoverable = 0;
-  /// True iff every coverable tag was served within the slot caps.  Stays
-  /// false when permanent reader deaths orphan tags: the schedule
-  /// terminated, but it does not cover M.
-  bool completed = false;
   std::vector<SlotRecord> schedule;
   /// Fault accounting (all zero without an attached non-empty FaultPlan).
   McsDegradation degradation;
@@ -208,17 +220,16 @@ struct McsResult {
   int replayed_slots = 0;
 };
 
+struct McsResult : McsLoopResult {
+  /// True iff every coverable tag was served within the slot caps.  Stays
+  /// false when permanent reader deaths orphan tags: the schedule
+  /// terminated, but it does not cover M.
+  bool completed = false;
+};
+
 /// Runs the greedy covering-schedule loop, mutating `sys`'s read-state.
 /// Call sys.resetReads() first if the system was used before.
 McsResult runCoveringSchedule(core::System& sys, OneShotScheduler& scheduler,
                               const McsOptions& opt = {});
-
-/// Unread coverable tags no future slot can serve at `slot` under the
-/// plan's *permanent* failures: every coverer permanently dead, the tag
-/// permanently jammed by a loud-dead transmitter (RRc forever), or every
-/// live coverer an RTc victim of one.  Shared by the MCS and streaming
-/// drivers (both terminate early when orphans swallow the unread set).
-int countMcsOrphans(const core::System& sys, const fault::FaultPlan& plan,
-                    int slot);
 
 }  // namespace rfid::sched

@@ -1,29 +1,14 @@
 #include "sched/streaming.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "check/index_oracle.h"
-#include "ckpt/journal.h"
-#include "fault/channel_model.h"
-#include "fault/fault_plan.h"
-#include "obs/timer.h"
+#include "sched/mcs_loop.h"
 
 namespace rfid::sched {
 
 namespace {
-
-/// BudgetStop -> McsStop (kNone only when the budget did not fire).
-McsStop budgetStop(ckpt::BudgetStop bs) {
-  switch (bs) {
-    case ckpt::BudgetStop::kSlotCap: return McsStop::kSlotCap;
-    case ckpt::BudgetStop::kDeadline: return McsStop::kDeadline;
-    case ckpt::BudgetStop::kCancelled: return McsStop::kCancelled;
-    case ckpt::BudgetStop::kNone: break;
-  }
-  return McsStop::kCancelled;
-}
 
 /// Exact order statistic of a sorted sample: the floor(p·(n−1))-th value.
 /// Deterministic and scale-free — the bench gate compares these across
@@ -42,47 +27,10 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
                                 const StreamingOptions& opt) {
   StreamingResult res;
   res.uncoverable = sys.unreadCount() - sys.unreadCoverableCount();
+  // The mcs.* counters and spans are the static driver's own: an empty
+  // trace must export the identical metrics.
+  McsSlotLoop loop(sys, scheduler, opt, /*validator=*/nullptr, res);
 
-  obs::ScopedTimer run_span(opt.trace != nullptr ? opt.metrics : nullptr,
-                            "mcs.run_us", opt.trace, "mcs.run");
-
-  const fault::FaultPlan* plan = opt.faults;
-  const bool faulty = plan != nullptr && !plan->empty();
-
-  // mcs.* counter handles, resolved exactly like the static driver's: the
-  // streaming slot body *is* an MCS slot, and an empty trace must export
-  // the identical counters.
-  obs::Counter* c_slots = nullptr;
-  obs::Counter* c_tags = nullptr;
-  obs::Counter* c_stalls = nullptr;
-  obs::Histogram* h_proposed = nullptr;
-  obs::Histogram* h_tags = nullptr;
-  if (opt.metrics != nullptr) {
-    c_slots = &opt.metrics->counter("mcs.slots");
-    c_tags = &opt.metrics->counter("mcs.tags_read");
-    c_stalls = &opt.metrics->counter("mcs.stall_slots");
-    h_proposed = &opt.metrics->histogram("mcs.slot_proposed_readers");
-    h_tags = &opt.metrics->histogram("mcs.slot_tags_read");
-  }
-  obs::Counter* c_crashed = nullptr;
-  obs::Counter* c_replanned = nullptr;
-  obs::Counter* c_missed = nullptr;
-  obs::Counter* c_faulty_slots = nullptr;
-  obs::Counter* c_slots_lost = nullptr;
-  if (opt.metrics != nullptr && faulty) {
-    c_crashed = &opt.metrics->counter("fault.mcs.crashed_activations");
-    c_replanned = &opt.metrics->counter("fault.mcs.replanned_activations");
-    c_missed = &opt.metrics->counter("fault.mcs.tags_missed");
-    c_faulty_slots = &opt.metrics->counter("fault.mcs.faulty_slots");
-    c_slots_lost = &opt.metrics->counter("fault.mcs.slots_lost");
-  }
-  const bool checkpointing = opt.journal != nullptr || opt.resume != nullptr;
-  obs::Counter* c_ckpt_slots = nullptr;
-  obs::Counter* c_ckpt_snaps = nullptr;
-  if (opt.metrics != nullptr && checkpointing) {
-    c_ckpt_slots = &opt.metrics->counter("ckpt.slots_committed");
-    c_ckpt_snaps = &opt.metrics->counter("ckpt.snapshots");
-  }
   // stream.* counters are created lazily on first bump, so a stream fed the
   // empty trace exports the exact metrics JSON of runCoveringSchedule.
   obs::Counter* c_arrived = nullptr;
@@ -96,11 +44,6 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
     c->add(by);
   };
 
-  std::vector<int> trusted_from;
-  if (faulty && opt.reprobe_interval > 0) {
-    trusted_from.assign(static_cast<std::size_t>(sys.numReaders()), 0);
-  }
-
   // Arrival slot per tag index: latency-to-first-read and the aging shed
   // both measure from here.  Tags present at stream start arrived at 0.
   std::vector<int> arrival_slot(static_cast<std::size_t>(sys.numTags()), 0);
@@ -109,8 +52,7 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
   const std::vector<workload::ChurnEvent>& events = trace.events;
   const std::size_t E = events.size();
   std::size_t ev = 0;
-  int now = 0;    // the stream clock (slot index the fault plan speaks in)
-  int stall = 0;
+  int now = 0;  // the stream clock (slot index the fault plan speaks in)
 
   std::vector<int> shed_pick;  // scratch for the overflow shed
   while (true) {
@@ -229,255 +171,23 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
     }
     if (res.slots >= opt.max_slots) break;
 
-    // ---- one MCS slot, byte-for-byte the static driver's body ----
-    if (opt.budget != nullptr) {
-      const ckpt::BudgetStop bs = opt.budget->charge(res.slots);
-      if (bs != ckpt::BudgetStop::kNone) {
-        res.interrupted = true;
-        res.stop = budgetStop(bs);
-        break;
+    // ---- one MCS slot on the stream clock ----
+    // Orphan-aware termination only once the trace is exhausted: while
+    // churn is still ahead, "every unread tag is orphaned" is a statement
+    // about a population that is about to change.
+    const bool more = loop.step(now, /*settled=*/ev >= E);
+    if (loop.committed()) {
+      for (const int t : loop.served()) {
+        latencies.push_back(now - arrival_slot[static_cast<std::size_t>(t)]);
       }
+      ++now;  // the slot consumed stream time
     }
-    if (opt.progress != nullptr) {
-      opt.progress->fetch_add(1, std::memory_order_relaxed);
-    }
-    const bool replaying =
-        opt.resume != nullptr &&
-        res.slots < static_cast<int>(opt.resume->slots.size());
-    if (faulty && plan->hasPermanentDeaths() && ev >= E) {
-      // Orphan-aware termination only once the trace is exhausted: while
-      // churn is still ahead, "every unread tag is orphaned" is a
-      // statement about a population that is about to change.
-      const int orphans = countMcsOrphans(sys, *plan, now);
-      if (orphans >= sys.unreadCoverableCount()) {
-        res.degradation.tags_orphaned = orphans;
-        break;
-      }
-    }
-    if (opt.channel != nullptr) opt.channel->setSlot(now);
-
-    obs::CostBill slot_base;
-    if (opt.cost != nullptr) slot_base = opt.cost->total();
-
-    obs::ScopedTimer span(opt.trace != nullptr ? opt.metrics : nullptr,
-                          "mcs.slot_us", opt.trace, "mcs.slot",
-                          obs::EventKind::kSlot);
-    const OneShotResult one = scheduler.schedule(sys);
-    if (opt.budget != nullptr && opt.budget->token().cancelled()) {
-      res.interrupted = true;
-      res.stop = budgetStop(opt.budget->charge(res.slots));
-      break;
-    }
-
-    std::vector<int> served;
-    int crashed_here = 0;
-    int replanned_here = 0;
-    int missed_here = 0;
-    int ideal_here = 0;
-    bool slot_faulty = false;
-    bool slot_lost = false;
-    std::vector<int> live;
-    std::vector<int> jamming;
-    if (!faulty) {
-      served = sys.wellCoveredTags(one.readers);
-    } else {
-      live.reserve(one.readers.size());
-      for (const int v : one.readers) {
-        if (!trusted_from.empty() &&
-            trusted_from[static_cast<std::size_t>(v)] > now) {
-          ++replanned_here;
-          continue;
-        }
-        if (plan->crashed(v, now)) {
-          ++crashed_here;
-          if (!trusted_from.empty()) {
-            trusted_from[static_cast<std::size_t>(v)] =
-                now + 1 + opt.reprobe_interval;
-          }
-          continue;
-        }
-        live.push_back(v);
-      }
-      for (const int v : plan->loudAt(now)) {
-        if (v >= 0 && v < sys.numReaders()) jamming.push_back(v);
-      }
-      served = sys.wellCoveredTags(live, jamming);
-      if (plan->hasMissFaults()) {
-        std::vector<int> kept;
-        kept.reserve(served.size());
-        for (const int t : served) {
-          if (plan->drawMiss(now, t)) {
-            ++missed_here;
-          } else {
-            kept.push_back(t);
-          }
-        }
-        served = std::move(kept);
-      }
-      ideal_here = static_cast<int>(sys.wellCoveredTags(one.readers).size());
-      res.degradation.ideal_tags_read += ideal_here;
-      res.degradation.crashed_activations += crashed_here;
-      res.degradation.replanned_activations += replanned_here;
-      res.degradation.tags_missed += missed_here;
-      slot_faulty =
-          crashed_here + replanned_here + missed_here > 0 ||
-          (!jamming.empty() && static_cast<int>(served.size()) != ideal_here);
-      slot_lost = slot_faulty && served.empty() && ideal_here > 0;
-      res.degradation.faulty_slots += slot_faulty ? 1 : 0;
-      res.degradation.slots_lost += slot_lost ? 1 : 0;
-      if (c_crashed != nullptr) {
-        c_crashed->add(crashed_here);
-        c_replanned->add(replanned_here);
-        c_missed->add(missed_here);
-        if (slot_faulty) c_faulty_slots->add(1);
-        if (slot_lost) c_slots_lost->add(1);
-      }
-      if (opt.trace != nullptr && slot_faulty) {
-        opt.trace->instant(
-            obs::EventKind::kFault, "fault.mcs.slot",
-            {{"slot", static_cast<double>(now)},
-             {"crashed", static_cast<double>(crashed_here)},
-             {"replanned", static_cast<double>(replanned_here)},
-             {"missed", static_cast<double>(missed_here)},
-             {"served", static_cast<double>(served.size())},
-             {"ideal", static_cast<double>(ideal_here)}});
-      }
-    }
-
-    if (opt.cost != nullptr) {
-      obs::CostBill ref;
-      if (!faulty) {
-        ref.weight_evals = 1;
-        ref.csr_rows = static_cast<std::int64_t>(one.readers.size());
-      } else {
-        ref.weight_evals = 2;
-        ref.csr_rows = static_cast<std::int64_t>(
-            live.size() + jamming.size() + one.readers.size());
-      }
-      opt.cost->charge("mcs.referee", ref);
-    }
-
-    if (checkpointing) {
-      ckpt::SlotEntry entry;
-      entry.slot = res.slots;  // dense commit index (idle slots are free)
-      entry.active = one.readers;
-      entry.served = served;
-      entry.crashed = crashed_here;
-      entry.replanned = replanned_here;
-      entry.missed = missed_here;
-      entry.ideal = ideal_here;
-      entry.faulty = slot_faulty;
-      entry.lost = slot_lost;
-      entry.epoch = faulty ? plan->epochAt(now) : 0;
-      entry.fp = scheduler.stateFingerprint();
-      if (replaying) {
-        if (!(entry ==
-              opt.resume->slots[static_cast<std::size_t>(res.slots)])) {
-          res.stop = McsStop::kReplayMismatch;
-          break;
-        }
-      } else if (opt.journal != nullptr) {
-        if (!opt.journal->appendSlot(entry)) {
-          res.stop = McsStop::kJournalError;
-          break;
-        }
-      }
-    }
-    sys.markRead(served);
-    if (opt.on_commit) opt.on_commit(res.slots, one.readers, served);
-    for (const int t : served) {
-      latencies.push_back(now - arrival_slot[static_cast<std::size_t>(t)]);
-    }
-
-    SlotRecord rec;
-    rec.active = one.readers;
-    rec.tags_read = static_cast<int>(served.size());
-    res.schedule.push_back(std::move(rec));
-    ++res.slots;
-    res.tags_read += static_cast<int>(served.size());
-
-    if (opt.cost != nullptr) {
-      obs::CostBill slot_bill = opt.cost->total();
-      slot_bill.subtract(slot_base);
-      opt.cost->commitSlot(slot_bill);
-    }
-
-    if (served.empty()) {
-      ++stall;
-    } else {
-      stall = 0;
-    }
-
-    if (c_slots != nullptr) {
-      c_slots->add(1);
-      c_tags->add(static_cast<std::int64_t>(served.size()));
-      if (served.empty()) c_stalls->add(1);
-      h_proposed->record(static_cast<double>(one.readers.size()));
-      h_tags->record(static_cast<double>(served.size()));
-    }
-    if (opt.trace != nullptr) {
-      span.arg("slot", static_cast<double>(res.slots));
-      span.arg("proposed", static_cast<double>(one.readers.size()));
-      span.arg("claimed_weight", static_cast<double>(one.weight));
-      span.arg("delivered", static_cast<double>(served.size()));
-      span.arg("stall", static_cast<double>(stall));
-    }
-
-    if (checkpointing) {
-      if (c_ckpt_slots != nullptr) c_ckpt_slots->add(1);
-      if (replaying) {
-        ++res.replayed_slots;
-        if (opt.resume->snapshot.has_value() &&
-            opt.resume->snapshot->slot == res.slots) {
-          const ckpt::Snapshot& snap = *opt.resume->snapshot;
-          bool match = static_cast<int>(snap.read.size()) == sys.numTags();
-          for (int t = 0; match && t < sys.numTags(); ++t) {
-            match = (snap.read[static_cast<std::size_t>(t)] != 0) ==
-                    sys.isRead(t);
-          }
-          if (!match) {
-            res.stop = McsStop::kReplayMismatch;
-            break;
-          }
-        }
-      }
-      if (opt.journal != nullptr && opt.journal->snapshotDue(res.slots)) {
-        if (c_ckpt_snaps != nullptr) c_ckpt_snaps->add(1);
-        if (!replaying) {
-          ckpt::Snapshot snap;
-          snap.slot = res.slots;
-          snap.read.resize(static_cast<std::size_t>(sys.numTags()), 0);
-          for (int t = 0; t < sys.numTags(); ++t) {
-            snap.read[static_cast<std::size_t>(t)] = sys.isRead(t) ? 1 : 0;
-          }
-          if (!opt.journal->writeSnapshot(snap)) {
-            res.stop = McsStop::kJournalError;
-            break;
-          }
-          if (opt.trace != nullptr) {
-            opt.trace->instant(obs::EventKind::kCkpt, "ckpt.snapshot",
-                               {{"slot", static_cast<double>(res.slots)}});
-          }
-        }
-      }
-    }
-
-    ++now;  // the slot consumed stream time
-    if (served.empty() && stall >= opt.max_stall) break;
+    if (!more) break;
   }
 
-  if (res.stop == McsStop::kNone && !res.interrupted &&
-      opt.resume != nullptr &&
-      res.replayed_slots < static_cast<int>(opt.resume->slots.size())) {
-    res.stop = McsStop::kReplayMismatch;
-  }
+  loop.finish(now);
   res.stream_slots = now;
   res.drained = ev >= E && sys.unreadCoverableCount() == 0;
-  if (faulty && plan->hasPermanentDeaths() &&
-      res.degradation.tags_orphaned == 0) {
-    res.degradation.tags_orphaned =
-        countMcsOrphans(sys, *plan, now > 0 ? now - 1 : 0);
-  }
   bump(c_arrived, "stream.arrived", res.arrived);
   bump(c_departed, "stream.departed", res.departed);
   bump(c_moved, "stream.moved", res.moved);
@@ -516,133 +226,29 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
     opt.metrics->gauge("stream.latency_p99").set(res.latency_p99);
     opt.metrics->gauge("stream.tags_per_sec").set(res.tags_per_sec);
   }
-  if (opt.trace != nullptr) {
-    opt.trace->instant(obs::EventKind::kSpan, "mcs.done",
-                       {{"slots", static_cast<double>(res.slots)},
-                        {"tags_read", static_cast<double>(res.tags_read)},
-                        {"completed", res.drained ? 1.0 : 0.0}});
-  }
+  loop.traceDone(res.drained);
   return res;
 }
-
-namespace {
-
-StreamingCheckpointedRun streamFailClosed(std::string error) {
-  StreamingCheckpointedRun run;
-  run.ok = false;
-  run.error = std::move(error);
-  return run;
-}
-
-/// Names the first identity field that disagrees (mirrors mcs_ckpt.cpp).
-std::string describeStreamHeaderMismatch(const ckpt::JournalHeader& want,
-                                         const ckpt::JournalHeader& got) {
-  if (got.version != want.version) return "journal version mismatch";
-  if (got.algo != want.algo) {
-    return "algorithm mismatch: journal records '" + got.algo +
-           "', this run uses '" + want.algo + "'";
-  }
-  if (got.seed != want.seed) return "seed mismatch";
-  if (got.deployment_hash != want.deployment_hash) {
-    return "deployment/churn mismatch: journal belongs to a different "
-           "deployment or churn trace";
-  }
-  if (got.fault_hash != want.fault_hash) {
-    return "fault-plan mismatch: journal recorded a different fault script";
-  }
-  return "journal header mismatch";
-}
-
-std::optional<ckpt::Snapshot> loadStreamSnapshot(const std::string& snap_path,
-                                                 std::uint64_t deployment_hash,
-                                                 int committed_slots) {
-  std::ifstream is(snap_path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  ckpt::Snapshot snap;
-  std::uint64_t dep = 0;
-  if (!ckpt::decodeSnapshot(buf.str(), &snap, &dep)) return std::nullopt;
-  if (dep != deployment_hash) return std::nullopt;
-  if (snap.slot <= 0 || snap.slot > committed_slots) return std::nullopt;
-  return snap;
-}
-
-}  // namespace
 
 StreamingCheckpointedRun runStreamingCheckpointed(
     core::System& sys, OneShotScheduler& scheduler,
     const workload::ChurnTrace& trace, StreamingOptions opt,
     const ckpt::CheckpointSetup& setup) {
-  opt.journal = nullptr;
-  opt.resume = nullptr;
-  if (setup.path.empty()) {
-    StreamingCheckpointedRun run;
-    run.result = runStreamingMcs(sys, scheduler, trace, opt);
-    return run;
-  }
-
   // The run identity folds the churn trace into the deployment hash: the
   // trace determines the trajectory as much as the deployment does, so a
   // journal must never resume under a different one.
-  ckpt::JournalHeader header;
-  header.algo = scheduler.name();
-  header.seed = setup.seed;
-  {
+  const auto deployment_hash = [&] {
     std::ostringstream churn_csv;
     workload::saveChurnTrace(churn_csv, trace);
-    header.deployment_hash =
-        ckpt::fnv1a(churn_csv.str(), ckpt::deploymentHash(sys));
-  }
-  header.fault_hash = opt.faults != nullptr ? opt.faults->fingerprint() : 0;
-
-  ckpt::JournalWriter writer;
-  writer.snapshot_every = setup.snapshot_every;
-
-  ckpt::JournalData data;
-  bool resuming = false;
-  std::string err;
-  const bool exists = static_cast<bool>(std::ifstream(setup.path));
-  if ((setup.resume || setup.auto_resume) && exists) {
-    std::optional<ckpt::JournalData> loaded = ckpt::readJournal(setup.path, &err);
-    if (!loaded.has_value()) return streamFailClosed(err);
-    if (!(loaded->header == header)) {
-      return streamFailClosed(
-          describeStreamHeaderMismatch(header, loaded->header));
-    }
-    data = std::move(*loaded);
-    data.snapshot =
-        loadStreamSnapshot(setup.path + ".snap", header.deployment_hash,
-                           static_cast<int>(data.slots.size()));
-    if (!writer.openAppend(setup.path, header, data.valid_bytes, &err)) {
-      return streamFailClosed(err);
-    }
-    resuming = true;
-  } else if (setup.resume) {
-    return streamFailClosed("cannot resume: no journal at " + setup.path);
-  } else {
-    if (!writer.create(setup.path, header, &err)) return streamFailClosed(err);
-  }
-
-  opt.journal = &writer;
-  opt.resume = resuming ? &data : nullptr;
-
-  StreamingCheckpointedRun run;
-  run.resumed = resuming;
-  run.result = runStreamingMcs(sys, scheduler, trace, opt);
-  run.replayed_slots = run.result.replayed_slots;
-  if (run.result.stop == McsStop::kJournalError) {
-    run.ok = false;
-    run.error = "journal write failed at slot " +
-                std::to_string(run.result.slots) + " (disk full?)";
-  } else if (run.result.stop == McsStop::kReplayMismatch) {
-    run.ok = false;
-    run.error =
-        "replay diverged from journal at slot " +
-        std::to_string(run.result.replayed_slots) +
-        " (journal was recorded by a different run configuration?)";
-  }
-  return run;
+    return ckpt::fnv1a(churn_csv.str(), ckpt::deploymentHash(sys));
+  };
+  return ckpt::runJournaled<StreamingResult>(
+      std::move(opt), setup, scheduler.name(), deployment_hash,
+      "deployment/churn mismatch: journal belongs to a different "
+      "deployment or churn trace",
+      [&](const StreamingOptions& o) {
+        return runStreamingMcs(sys, scheduler, trace, o);
+      });
 }
 
 }  // namespace rfid::sched

@@ -5,11 +5,12 @@
 // schedules tag arrivals, departures, and moves against the stream clock,
 // the driver applies each batch through core::System's incremental mutation
 // API (addTag / removeTag / moveTag), and the scheduler replans every busy
-// slot against whatever population is currently in the field.  The inner
-// slot body is byte-for-byte the MCS driver's — same referee, same fault
-// semantics, same journal records, same cost bills — so a stream fed the
-// *empty* trace commits exactly the slots, tags, and cost ledger of
-// runCoveringSchedule (the equivalence the metamorphic tests pin).
+// slot against whatever population is currently in the field.  Each busy
+// slot is the MCS driver's own slot step (sched/mcs_loop.h) — same referee,
+// same fault semantics, same journal records, same cost bills — run on the
+// stream clock, so a stream fed the *empty* trace commits exactly the
+// slots, tags, and cost ledger of runCoveringSchedule (the equivalence the
+// metamorphic tests pin).
 //
 // Overload control: a real portal cannot let backlog grow without bound
 // when arrivals outpace service.  Two knobs, both off by default and both
@@ -30,17 +31,14 @@
 // run with McsStop::kCheckFailed when `fail_on_divergence` is armed
 // (the CLI's --check, exit 5).
 //
-// Checkpointing: runStreamingCheckpointed() mirrors ckpt::runMcsCheckpointed
-// with the churn trace folded into the journal's deployment identity —
-// a journal recorded under one trace can never silently resume under
-// another.  A resumed stream replays the committed prefix through this
-// exact loop and is bit-identical to an uninterrupted run.
+// Checkpointing: runStreamingCheckpointed() runs ckpt::runMcsCheckpointed's
+// journal policy with the churn trace folded into the journal's deployment
+// identity — a journal recorded under one trace can never silently resume
+// under another.  A resumed stream replays the committed prefix through
+// this exact loop and is bit-identical to an uninterrupted run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "ckpt/mcs_ckpt.h"
 #include "core/system.h"
@@ -55,22 +53,11 @@ class IncrementalIndexOracle;
 
 namespace rfid::sched {
 
-struct StreamingOptions {
-  /// Caps, observability, faults, budget, journaling: the exact McsOptions
-  /// contract (sched/mcs.h documents each field).  max_slots bounds *busy*
-  /// (committed) slots; idle fast-forwarded slots are free.
-  int max_slots = 100000;
-  int max_stall = 500;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceSink* trace = nullptr;
-  obs::CostLedger* cost = nullptr;
-  const fault::FaultPlan* faults = nullptr;
-  fault::ChannelModel* channel = nullptr;
-  int reprobe_interval = 8;
-  ckpt::RunBudget* budget = nullptr;
-  std::atomic<std::int64_t>* progress = nullptr;
-  ckpt::JournalWriter* journal = nullptr;
-  const ckpt::JournalData* resume = nullptr;
+/// The MCS loop's options (sched/mcs.h documents each field; faults and
+/// channel speak in the stream clock, on_commit in busy slots) plus the
+/// stream's own.  A stream takes no check::ScheduleValidator: its shadow
+/// ledger is sized at beginRun and does not follow System::addTag.
+struct StreamingOptions : McsLoopOptions {
   /// Self-healing index validation (nullptr = trust the incremental path).
   check::IncrementalIndexOracle* oracle = nullptr;
   /// Stop with McsStop::kCheckFailed on *any* oracle divergence, healed or
@@ -83,27 +70,14 @@ struct StreamingOptions {
   /// Wall-clock seconds one stream slot represents — only converts
   /// tags_read into the reported tags_per_sec, never drives control flow.
   double slot_seconds = 0.01;
-  /// Commit hook (optional) — the McsOptions::on_commit contract: called
-  /// once per committed busy slot after markRead, fires during journal
-  /// replay too, observes only.  The slot index counts busy slots (matches
-  /// StreamingResult::slots), not the stream clock.
-  std::function<void(int slot, std::span<const int> active,
-                     std::span<const int> served)>
-      on_commit;
 };
 
-struct StreamingResult {
-  // ---- schedule (MCS-compatible core) ----
-  int slots = 0;        // busy slots committed (scheduler ran)
-  int idle_slots = 0;   // empty-backlog slots fast-forwarded
-  int stream_slots = 0; // total stream clock consumed (busy + idle)
-  int tags_read = 0;
-  int uncoverable = 0;  // initial + arrived tags no reader covers
-  std::vector<SlotRecord> schedule;
-  McsDegradation degradation;
-  bool interrupted = false;
-  McsStop stop = McsStop::kNone;
-  int replayed_slots = 0;
+/// The MCS loop's results (`slots` counts busy slots, the ones the
+/// scheduler ran; `uncoverable` counts initial and arrived tags no reader
+/// covers) plus the stream's own.
+struct StreamingResult : McsLoopResult {
+  int idle_slots = 0;    // empty-backlog slots fast-forwarded
+  int stream_slots = 0;  // total stream clock consumed (busy + idle)
   // ---- churn accounting ----
   int arrived = 0;
   int departed = 0;
@@ -136,16 +110,10 @@ StreamingResult runStreamingMcs(core::System& sys, OneShotScheduler& scheduler,
                                 const workload::ChurnTrace& trace,
                                 const StreamingOptions& opt = {});
 
-struct StreamingCheckpointedRun {
-  StreamingResult result;
-  bool resumed = false;
-  int replayed_slots = 0;
-  bool ok = true;
-  std::string error;
-};
+using StreamingCheckpointedRun = ckpt::BasicCheckpointedRun<StreamingResult>;
 
-/// ckpt::runMcsCheckpointed for streams: same create / validate / resume
-/// policy, with churnTraceHash folded into the header's deployment
+/// ckpt::runMcsCheckpointed for streams: the same create / validate /
+/// resume policy, with churnTraceHash folded into the header's deployment
 /// identity.  With an empty `setup.path` this is exactly runStreamingMcs.
 StreamingCheckpointedRun runStreamingCheckpointed(
     core::System& sys, OneShotScheduler& scheduler,

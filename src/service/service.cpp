@@ -644,6 +644,13 @@ DrainReport Service::drain(int drain_deadline_ms) {
       inf->budget.token().cancel();
     }
   }
+  // Every run is cancelled and recycling is off, so the watchdog has no work
+  // left.  Stop it before the joins below: an iteration that read
+  // draining_ == false before drain began may still be recycling a slot, and
+  // a thread it spawns after the join/detach loop would be destroyed
+  // joinable.
+  stop_watchdog_.store(true, std::memory_order_relaxed);
+  if (watchdog_.joinable()) watchdog_.join();
 
   // Grace window for the cancellations to land at the next slot boundary /
   // token poll, then join what returned and count what did not.
@@ -673,9 +680,6 @@ DrainReport Service::drain(int drain_deadline_ms) {
       if (m != nullptr) m->counter("svc.hung_workers").add(1);
     }
   }
-
-  stop_watchdog_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
 
   rep.completed = drain_completed_.load(std::memory_order_relaxed);
   rep.checkpointed = drain_checkpointed_.load(std::memory_order_relaxed);

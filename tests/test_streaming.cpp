@@ -1,9 +1,10 @@
 // Streaming MCS tests (docs/streaming.md): the metamorphic anchor (an
 // empty churn trace is bit-identical to the static driver for every
-// algorithm at every thread count), churn trace generation/serialization,
-// overload control, the index oracle's divergence contract inside the
-// stream, and checkpoint interrupt/resume bit-identity with the churn
-// trace folded into the journal identity.
+// algorithm at every thread count, clean and faulted), faults on the
+// stream clock, churn trace generation/serialization, overload control,
+// the index oracle's divergence contract inside the stream, and checkpoint
+// interrupt/resume bit-identity with the churn trace folded into the
+// journal identity.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,14 +12,17 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "check/index_oracle.h"
 #include "ckpt/mcs_ckpt.h"
 #include "distributed/colorwave.h"
 #include "distributed/growth_distributed.h"
+#include "fault/fault_plan.h"
 #include "graph/interference_graph.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
@@ -50,60 +54,114 @@ std::unique_ptr<OneShotScheduler> makeScheduler(
 
 TEST(Streaming, EmptyTraceIsBitIdenticalToStaticMcs) {
   // The metamorphic anchor: with no churn the streaming driver must commit
-  // exactly the slots, tags, metrics, and cost ledger of
-  // runCoveringSchedule — for every algorithm, at every thread count.
-  for (const std::string algo : {"alg2", "alg3", "ghc", "ca"}) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(algo + " threads=" + std::to_string(threads));
+  // exactly the slots, tags, degradation, metrics, and cost ledger of
+  // runCoveringSchedule — for every algorithm, at every thread count, clean
+  // and under a fault plan (a loud permanent crash, a transient crash, and
+  // interrogation misses), whose gauges both drivers export.
+  fault::FaultPlan faults;
+  faults.addCrash(3, 0, -1, /*loud=*/true);
+  faults.addCrash(7, 2, 6);
+  faults.setMissRate(0.1);
+  for (const fault::FaultPlan* plan : {static_cast<fault::FaultPlan*>(nullptr),
+                                       &faults}) {
+    for (const std::string algo : {"alg2", "alg3", "ghc", "ca"}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(algo + " threads=" + std::to_string(threads) +
+                     (plan != nullptr ? " faulted" : ""));
 
-      core::System a = test::smallRandomSystem(kSeed, 20, 300, 60.0);
-      const graph::InterferenceGraph ga(a);
-      auto sa = makeScheduler(algo, ga, a, threads);
-      obs::MetricsRegistry reg_a;
-      obs::CostLedger cost_a;
-      sa->attachMetrics(&reg_a);
-      sa->attachCost(&cost_a);
-      McsOptions mo;
-      mo.max_stall = 50;
-      mo.metrics = &reg_a;
-      mo.cost = &cost_a;
-      const McsResult want = runCoveringSchedule(a, *sa, mo);
+        core::System a = test::smallRandomSystem(kSeed, 20, 300, 60.0);
+        const graph::InterferenceGraph ga(a);
+        auto sa = makeScheduler(algo, ga, a, threads);
+        obs::MetricsRegistry reg_a;
+        obs::CostLedger cost_a;
+        sa->attachMetrics(&reg_a);
+        sa->attachCost(&cost_a);
+        McsOptions mo;
+        mo.max_stall = 50;
+        mo.metrics = &reg_a;
+        mo.cost = &cost_a;
+        mo.faults = plan;
+        const McsResult want = runCoveringSchedule(a, *sa, mo);
 
-      core::System b = test::smallRandomSystem(kSeed, 20, 300, 60.0);
-      const graph::InterferenceGraph gb(b);
-      auto sb = makeScheduler(algo, gb, b, threads);
-      obs::MetricsRegistry reg_b;
-      obs::CostLedger cost_b;
-      sb->attachMetrics(&reg_b);
-      sb->attachCost(&cost_b);
-      StreamingOptions so;
-      so.max_stall = 50;
-      so.metrics = &reg_b;
-      so.cost = &cost_b;
-      const StreamingResult got = runStreamingMcs(b, *sb, {}, so);
+        core::System b = test::smallRandomSystem(kSeed, 20, 300, 60.0);
+        const graph::InterferenceGraph gb(b);
+        auto sb = makeScheduler(algo, gb, b, threads);
+        obs::MetricsRegistry reg_b;
+        obs::CostLedger cost_b;
+        sb->attachMetrics(&reg_b);
+        sb->attachCost(&cost_b);
+        StreamingOptions so;
+        so.max_stall = 50;
+        so.metrics = &reg_b;
+        so.cost = &cost_b;
+        so.faults = plan;
+        const StreamingResult got = runStreamingMcs(b, *sb, {}, so);
 
-      EXPECT_EQ(got.slots, want.slots);
-      EXPECT_EQ(got.tags_read, want.tags_read);
-      EXPECT_EQ(got.uncoverable, want.uncoverable);
-      EXPECT_EQ(got.idle_slots, 0);
-      EXPECT_EQ(got.stream_slots, want.slots);
-      EXPECT_TRUE(got.drained);
-      ASSERT_EQ(got.schedule.size(), want.schedule.size());
-      for (std::size_t q = 0; q < want.schedule.size(); ++q) {
-        EXPECT_EQ(got.schedule[q].active, want.schedule[q].active)
-            << "slot " << q;
-        EXPECT_EQ(got.schedule[q].tags_read, want.schedule[q].tags_read)
-            << "slot " << q;
+        EXPECT_EQ(got.slots, want.slots);
+        EXPECT_EQ(got.tags_read, want.tags_read);
+        EXPECT_EQ(got.uncoverable, want.uncoverable);
+        EXPECT_EQ(got.idle_slots, 0);
+        EXPECT_EQ(got.stream_slots, want.slots);
+        EXPECT_EQ(got.drained, want.completed);
+        if (plan == nullptr) {
+          EXPECT_TRUE(got.drained);
+        }
+        const McsDegradation& dw = want.degradation;
+        const McsDegradation& dg = got.degradation;
+        EXPECT_EQ(std::tie(dg.faulty_slots, dg.slots_lost,
+                           dg.crashed_activations, dg.replanned_activations,
+                           dg.tags_missed, dg.tags_orphaned, dg.ideal_tags_read),
+                  std::tie(dw.faulty_slots, dw.slots_lost,
+                           dw.crashed_activations, dw.replanned_activations,
+                           dw.tags_missed, dw.tags_orphaned, dw.ideal_tags_read));
+        ASSERT_EQ(got.schedule.size(), want.schedule.size());
+        for (std::size_t q = 0; q < want.schedule.size(); ++q) {
+          EXPECT_EQ(got.schedule[q].active, want.schedule[q].active)
+              << "slot " << q;
+          EXPECT_EQ(got.schedule[q].tags_read, want.schedule[q].tags_read)
+              << "slot " << q;
+        }
+        std::ostringstream ma, mb, ca_j, cb_j;
+        reg_a.writeJson(ma);
+        reg_b.writeJson(mb);
+        EXPECT_EQ(ma.str(), mb.str()) << "metrics JSON diverged";
+        cost_a.writeJson(ca_j);
+        cost_b.writeJson(cb_j);
+        EXPECT_EQ(ca_j.str(), cb_j.str()) << "cost ledger diverged";
       }
-      std::ostringstream ma, mb, ca_j, cb_j;
-      reg_a.writeJson(ma);
-      reg_b.writeJson(mb);
-      EXPECT_EQ(ma.str(), mb.str()) << "metrics JSON diverged";
-      cost_a.writeJson(ca_j);
-      cost_b.writeJson(cb_j);
-      EXPECT_EQ(ca_j.str(), cb_j.str()) << "cost ledger diverged";
     }
   }
+}
+
+TEST(Streaming, FaultsFollowTheStreamClock) {
+  // The fault plan speaks in the stream clock, idle slots included.  The
+  // initial population drains long before slot 40; arrivals at slot 40
+  // force an idle fast-forward, and every reader is silently crashed for
+  // exactly [40, 41).  Keyed on the committed-slot index (< 40) the slot
+  // would never see that window.
+  core::System sys = test::smallRandomSystem(kSeed + 6, 10, 60, 40.0);
+  const graph::InterferenceGraph g(sys);
+  GrowthScheduler alg2(g);
+  fault::FaultPlan plan;
+  workload::ChurnTrace trace;
+  for (int v = 0; v < sys.numReaders(); ++v) {
+    plan.addCrash(v, 40, 41);
+    workload::ChurnEvent e;
+    e.slot = 40;
+    e.kind = workload::ChurnKind::kArrive;
+    e.pos = sys.reader(v).pos;  // inside v's interrogation disk
+    e.epc = static_cast<std::uint64_t>(1000 + v);
+    trace.events.push_back(e);
+  }
+  trace.horizon = 41;
+
+  StreamingOptions so;
+  so.faults = &plan;
+  const StreamingResult res = runStreamingMcs(sys, alg2, trace, so);
+  EXPECT_GT(res.idle_slots, 0);
+  EXPECT_GT(res.degradation.crashed_activations, 0);
+  EXPECT_GE(res.degradation.slots_lost, 1);
+  EXPECT_TRUE(res.drained);
 }
 
 TEST(Streaming, ChurnTraceGenerationIsDeterministicAndRateFaithful) {
@@ -372,13 +430,14 @@ struct StreamRunOut {
 
 StreamRunOut runStreamOnce(const workload::ChurnTrace& trace,
                            const std::string& ckpt_path, bool resume,
-                           int slot_cap) {
+                           int slot_cap, obs::TraceSink* sink = nullptr) {
   core::System sys = test::smallRandomSystem(kSeed + 5, 16, 120, 50.0);
   const graph::InterferenceGraph g(sys);  // scheduler keeps a reference
   GrowthScheduler alg2(g);
   obs::MetricsRegistry reg;
   StreamingOptions so;
   so.metrics = &reg;
+  so.trace = sink;
   ckpt::RunBudget budget;
   if (slot_cap > 0) {
     budget.setSlotCap(slot_cap);
@@ -443,6 +502,29 @@ TEST_F(StreamCkptTest, InterruptThenResumeIsBitIdentical) {
   }
   EXPECT_EQ(base.metrics, res.metrics);
 }
+
+#ifndef RFIDSCHED_NO_OBS
+TEST_F(StreamCkptTest, ResumedStreamTracesItsReplay) {
+  // Like a resumed static run, a resumed stream closes its trace with one
+  // ckpt.replay instant counting the slots it re-verified.
+  const workload::ChurnTrace trace = ckptTrace();
+  ASSERT_TRUE(runStreamOnce(trace, path("r"), /*resume=*/false,
+                            /*slot_cap=*/3)
+                  .run.ok);
+  obs::TraceSink sink;
+  const StreamRunOut res = runStreamOnce(trace, path("r"), /*resume=*/true,
+                                         /*slot_cap=*/0, &sink);
+  ASSERT_TRUE(res.run.ok) << res.run.error;
+  int replays = 0;
+  for (const obs::TraceEvent& e : sink.snapshot()) {
+    if (e.name != "ckpt.replay") continue;
+    ++replays;
+    ASSERT_EQ(e.args.size(), 1u);
+    EXPECT_EQ(e.args[0].second, 3.0);
+  }
+  EXPECT_EQ(replays, 1);
+}
+#endif
 
 TEST_F(StreamCkptTest, JournalIdentityIncludesTheChurnTrace) {
   const workload::ChurnTrace trace = ckptTrace();

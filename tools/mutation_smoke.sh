@@ -62,7 +62,9 @@ mutants=(
   # The exactly-one mask loses `~twice`: the overlap run's shared tag is served.
   "drop-exactly-one|src/core/system.cpp|~scratch.twice\[e.word\] & ~read_bits_\[e.word\]|~read_bits_[e.word]"
   "csr-off-by-one|src/core/system.h|covr_off_\[static_cast<std::size_t>(t) + 1\]|covr_off_[static_cast<std::size_t>(t)]"
-  "drop-mark-read|src/sched/mcs.cpp|    sys.markRead(served);|    // sys.markRead(served);"
+  # The shared MCS slot step (sched/mcs_loop.h): both the mcs and the
+  # stream runs commit through this line.
+  "drop-mark-read|src/sched/mcs.cpp|  sys_.markRead(served_);|  // sys_.markRead(served_);"
   "churn-skip-covr-delta|src/core/system.cpp|  covrReplace(t, {});|  // covrReplace(t, {});"
   # Bitmap desync: an arriving/moving tag that needs a fresh 64-tag block in
   # its coverer's row gets a zero-bit entry — the bit is lost and a zero

@@ -701,6 +701,65 @@ int main(int argc, char** argv) {
   // Gen2 link co-simulation verdict (empty = ok); escalates to exit 5
   // under --check, a warning otherwise.
   std::string link_fail_detail;
+
+  // The mcs and stream modes run the same MCS slot loop: they share its
+  // options, the journal setup, and the run's chatter.
+  const auto fillLoopOptions = [&](sched::McsLoopOptions& o) {
+    o.metrics = metrics;
+    o.trace = trace;
+    o.cost = cost;
+    if (!fault_plan.empty()) {
+      o.faults = &fault_plan;
+      o.channel = channel.get();
+    }
+    if (cli.deadline_ms >= 0) {
+      budget.setDeadline(std::chrono::milliseconds(cli.deadline_ms));
+    }
+    if (cli.max_slots > 0) budget.setSlotCap(cli.max_slots);
+    // Always attached: the budget also carries the signal-cancel token, and
+    // an unarmed, unfired budget never changes the driver's behavior.
+    o.budget = &budget;
+  };
+  ckpt::CheckpointSetup setup;
+  setup.path = cli.ckpt_path;
+  setup.resume = cli.resume;
+  setup.seed = cli.seed;
+  // Checkpoint and budget chatter goes to stderr: stdout must stay
+  // byte-comparable between a resumed run and an uninterrupted one.  False
+  // when the journal failed closed (exit 4).
+  const auto reportRun = [&](const auto& run) {
+    if (!run.ok) {
+      std::cerr << "checkpoint error: " << run.error << "\n";
+      flushTelemetry();  // best-effort: the partial run's evidence still lands
+      return false;
+    }
+    if (run.resumed) {
+      std::cerr << "resumed " << cli.ckpt_path << ": " << run.replayed_slots
+                << " committed slots replayed and verified\n";
+    }
+    const sched::McsLoopResult& res = run.result;
+    if (res.interrupted) {
+      interrupted = true;
+      std::cerr << "run interrupted ("
+                << (service::stopSignal() != 0 ? "signal"
+                                               : sched::mcsStopName(res.stop))
+                << ") after " << res.slots << " committed slots";
+      if (!cli.ckpt_path.empty()) std::cerr << "; resume with --resume";
+      std::cerr << "\n";
+    }
+    return true;
+  };
+  const auto printDegradation = [&](const sched::McsLoopResult& res) {
+    if (fault_plan.empty()) return;
+    const sched::McsDegradation& d = res.degradation;
+    std::cout << "degradation: " << d.faulty_slots << " faulty slots ("
+              << d.slots_lost << " lost), " << d.crashed_activations
+              << " crashed activations, " << d.replanned_activations
+              << " re-planned, " << d.tags_missed << " tags missed, "
+              << d.tags_orphaned << " orphaned; coverage " << res.tags_read
+              << " achieved vs " << d.ideal_tags_read << " ideal\n";
+  };
+
   if (cli.mode == "oneshot") {
     obs::ScopedTimer run_span(metrics, "cli.run_us", trace, "cli.oneshot");
     const sched::OneShotResult res = scheduler->schedule(sys);
@@ -730,63 +789,19 @@ int main(int argc, char** argv) {
       }
     }
     sched::McsOptions mcs_opt;
-    mcs_opt.metrics = metrics;
-    mcs_opt.trace = trace;
-    mcs_opt.cost = cost;
-    if (!fault_plan.empty()) {
-      mcs_opt.faults = &fault_plan;
-      mcs_opt.channel = channel.get();
-    }
+    fillLoopOptions(mcs_opt);
     if (cli.check) mcs_opt.validator = &validator;
-    if (cli.deadline_ms >= 0) {
-      budget.setDeadline(std::chrono::milliseconds(cli.deadline_ms));
-    }
-    if (cli.max_slots > 0) budget.setSlotCap(cli.max_slots);
-    // Always attached: the budget also carries the signal-cancel token, and
-    // an unarmed, unfired budget never changes the driver's behavior.
-    mcs_opt.budget = &budget;
-    ckpt::CheckpointSetup setup;
-    setup.path = cli.ckpt_path;
-    setup.resume = cli.resume;
-    setup.seed = cli.seed;
     const ckpt::CheckpointedRun run =
         ckpt::runMcsCheckpointed(sys, *scheduler, mcs_opt, setup);
-    if (!run.ok) {
-      std::cerr << "checkpoint error: " << run.error << "\n";
-      flushTelemetry();  // best-effort: the partial run's evidence still lands
-      return 4;
-    }
-    // Checkpoint chatter goes to stderr: stdout must stay byte-comparable
-    // between a resumed run and an uninterrupted one.
-    if (run.resumed) {
-      std::cerr << "resumed " << cli.ckpt_path << ": " << run.replayed_slots
-                << " committed slots replayed and verified\n";
-    }
+    if (!reportRun(run)) return 4;
     const sched::McsResult& res = run.result;
     check_failed = cli.check &&
                    (res.stop == sched::McsStop::kCheckFailed || !validator.ok());
-    if (res.interrupted) {
-      interrupted = true;
-      std::cerr << "run interrupted ("
-                << (service::stopSignal() != 0 ? "signal"
-                                               : sched::mcsStopName(res.stop))
-                << ") after " << res.slots << " committed slots";
-      if (!cli.ckpt_path.empty()) std::cerr << "; resume with --resume";
-      std::cerr << "\n";
-    }
     std::cout << "covering schedule: " << res.slots << " slots, "
               << res.tags_read << " tags read, " << res.uncoverable
               << " uncoverable, "
               << (res.completed ? "completed" : "INCOMPLETE") << '\n';
-    if (!fault_plan.empty()) {
-      const sched::McsDegradation& d = res.degradation;
-      std::cout << "degradation: " << d.faulty_slots << " faulty slots ("
-                << d.slots_lost << " lost), " << d.crashed_activations
-                << " crashed activations, " << d.replanned_activations
-                << " re-planned, " << d.tags_missed << " tags missed, "
-                << d.tags_orphaned << " orphaned; coverage " << res.tags_read
-                << " achieved vs " << d.ideal_tags_read << " ideal\n";
-    }
+    printDegradation(res);
     for (std::size_t i = 0; i < res.schedule.size() && i < 25; ++i) {
       std::cout << "  slot " << i + 1 << ": "
                 << res.schedule[i].active.size() << " readers, "
@@ -850,13 +865,7 @@ int main(int argc, char** argv) {
     }
 
     sched::StreamingOptions st_opt;
-    st_opt.metrics = metrics;
-    st_opt.trace = trace;
-    st_opt.cost = cost;
-    if (!fault_plan.empty()) {
-      st_opt.faults = &fault_plan;
-      st_opt.channel = channel.get();
-    }
+    fillLoopOptions(st_opt);
     st_opt.oracle = &oracle;
     st_opt.fail_on_divergence = cli.check;
     st_opt.max_backlog = cli.max_backlog;
@@ -864,11 +873,6 @@ int main(int argc, char** argv) {
                              ? service::ShedPolicy::kRejectLargest
                              : service::ShedPolicy::kRejectNewest;
     st_opt.shed_after_slots = cli.shed_after;
-    if (cli.deadline_ms >= 0) {
-      budget.setDeadline(std::chrono::milliseconds(cli.deadline_ms));
-    }
-    if (cli.max_slots > 0) budget.setSlotCap(cli.max_slots);
-    st_opt.budget = &budget;
     // Online gen2 co-simulation rides the driver's commit hook — every
     // committed busy slot (including replayed ones on resume) is arbitrated
     // as it lands, with session flags carried across slots.
@@ -881,33 +885,12 @@ int main(int argc, char** argv) {
         link_timer->onSlot(slot, active, served);
       };
     }
-    ckpt::CheckpointSetup setup;
-    setup.path = cli.ckpt_path;
-    setup.resume = cli.resume;
-    setup.seed = cli.seed;
     const sched::StreamingCheckpointedRun run =
         sched::runStreamingCheckpointed(sys, *scheduler, churn, st_opt, setup);
-    if (!run.ok) {
-      std::cerr << "checkpoint error: " << run.error << "\n";
-      flushTelemetry();  // best-effort: the partial run's evidence still lands
-      return 4;
-    }
-    if (run.resumed) {
-      std::cerr << "resumed " << cli.ckpt_path << ": " << run.replayed_slots
-                << " committed slots replayed and verified\n";
-    }
+    if (!reportRun(run)) return 4;
     const sched::StreamingResult& res = run.result;
     check_failed =
         cli.check && (res.stop == sched::McsStop::kCheckFailed || !oracle.ok());
-    if (res.interrupted) {
-      interrupted = true;
-      std::cerr << "run interrupted ("
-                << (service::stopSignal() != 0 ? "signal"
-                                               : sched::mcsStopName(res.stop))
-                << ") after " << res.slots << " committed slots";
-      if (!cli.ckpt_path.empty()) std::cerr << "; resume with --resume";
-      std::cerr << "\n";
-    }
     std::cout << "streaming schedule: " << res.stream_slots
               << " stream slots (" << res.slots << " busy, " << res.idle_slots
               << " idle), " << res.tags_read << " tags read, "
@@ -941,15 +924,7 @@ int main(int argc, char** argv) {
                 << oracle.divergences() << " divergences, " << oracle.heals()
                 << " heals\n";
     }
-    if (!fault_plan.empty()) {
-      const sched::McsDegradation& d = res.degradation;
-      std::cout << "degradation: " << d.faulty_slots << " faulty slots ("
-                << d.slots_lost << " lost), " << d.crashed_activations
-                << " crashed activations, " << d.replanned_activations
-                << " re-planned, " << d.tags_missed << " tags missed, "
-                << d.tags_orphaned << " orphaned; coverage " << res.tags_read
-                << " achieved vs " << d.ideal_tags_read << " ideal\n";
-    }
+    printDegradation(res);
   } else {
     std::cerr << "invalid value for --mode: " << cli.mode << "\n";
     usage();
