@@ -18,63 +18,29 @@ IncrementalIndexOracle::Expected IncrementalIndexOracle::expectedFingerprints(
     const core::System& sys) const {
   const int n = sys.numReaders();
   const int m = sys.numTags();
-  // Rebuild both CSR directions from positions and radii alone — a plain
+  // Both coverage directions from positions and radii alone — a plain
   // O(n·m) distance scan sharing nothing with the incremental splices or
-  // the spatial grid, so a bug in either cannot hide here.  Departed tags
-  // get empty rows, mirroring removeTag's contract.
-  std::vector<int> covr_off(static_cast<std::size_t>(m) + 1, 0);
-  std::vector<int> covr_idx;
-  for (int t = 0; t < m; ++t) {
-    if (!sys.departed(t)) {
-      const geom::Vec2 p = sys.tag(t).pos;
-      for (int v = 0; v < n; ++v) {
-        const core::Reader& r = sys.reader(v);
-        const double g = r.interrogation_radius;
-        if (geom::dist2(p, r.pos) <= g * g) covr_idx.push_back(v);
-      }
-    }
-    covr_off[static_cast<std::size_t>(t) + 1] =
-        static_cast<int>(covr_idx.size());
-  }
-  // Transpose: walking tags ascending appends each tag to its coverers'
-  // rows in ascending order, so the cov rows come out sorted for free.
-  std::vector<int> cov_off(static_cast<std::size_t>(n) + 1, 0);
-  for (const int v : covr_idx) ++cov_off[static_cast<std::size_t>(v) + 1];
-  for (int v = 0; v < n; ++v) {
-    cov_off[static_cast<std::size_t>(v) + 1] +=
-        cov_off[static_cast<std::size_t>(v)];
-  }
-  std::vector<int> cov_idx(covr_idx.size());
-  std::vector<int> cursor(cov_off.begin(), cov_off.end() - 1);
-  for (int t = 0; t < m; ++t) {
-    const auto lo = static_cast<std::size_t>(covr_off[static_cast<std::size_t>(t)]);
-    const auto hi = static_cast<std::size_t>(covr_off[static_cast<std::size_t>(t) + 1]);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const int v = covr_idx[i];
-      cov_idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = t;
-    }
-  }
+  // the spatial grid, so a bug in either cannot hide here.
+  const GeometricCoverage geo = geometricCoverage(sys);
   Expected e;
-  e.csr = core::System::fingerprintArrays(cov_off, cov_idx, covr_off, covr_idx);
+  e.csr = core::System::fingerprintArrays(geo.covr_off, geo.covr_idx);
 
-  // Expected bitmap: re-block the geometry cov rows under the System's
+  // Expected bitmap: re-block the geometry reader rows under the System's
   // recorded SFC permutations.  Canonical form (non-zero words ascending)
-  // matches System::buildBitmap, so the fingerprints compare directly.
+  // matches System::buildIndex, so the fingerprints compare directly.
   std::vector<std::uint32_t> row_of(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> bit_of(static_cast<std::size_t>(sys.numTagBits()));
   for (int v = 0; v < n; ++v) row_of[static_cast<std::size_t>(v)] = sys.readerRow(v);
   for (int t = 0; t < m; ++t) bit_of[static_cast<std::size_t>(t)] = sys.tagBit(t);
   std::vector<std::uint32_t> off(static_cast<std::size_t>(n) + 1, 0);
   std::vector<core::BitEntry> arena;
-  arena.reserve(cov_idx.size());
+  arena.reserve(geo.cov_idx.size());
   std::vector<std::uint32_t> bits;
   for (int r = 0; r < n; ++r) {
     const int v = sys.rowReader(static_cast<std::uint32_t>(r));
-    const auto lo = static_cast<std::size_t>(cov_off[static_cast<std::size_t>(v)]);
-    const auto hi = static_cast<std::size_t>(cov_off[static_cast<std::size_t>(v) + 1]);
     bits.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      bits.push_back(bit_of[static_cast<std::size_t>(cov_idx[i])]);
+    for (const int t : geo.coveredTags(v)) {
+      bits.push_back(bit_of[static_cast<std::size_t>(t)]);
     }
     std::sort(bits.begin(), bits.end());
     for (const std::uint32_t p : bits) {

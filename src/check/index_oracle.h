@@ -1,16 +1,16 @@
 // index_oracle.h — self-healing validation of the incremental coverage
 // index (docs/streaming.md).
 //
-// The streaming driver mutates core::System's dual CSR index in place
-// (addTag / removeTag / moveTag).  Those splices are the one derived
-// structure the ScheduleValidator cannot re-derive cheaply per slot, and a
-// single missed delta silently corrupts every weight the schedulers compute
-// from then on.  The IncrementalIndexOracle closes that hole the same way
-// check/invariants.h does for slots: periodically rebuild the expected
-// index from *raw geometry* — a naive O(n·m) reader×tag distance scan that
-// shares no code with the incremental splices or the spatial grid — and
-// compare FNV fingerprints (System::fingerprintArrays) against the live
-// index.
+// The streaming driver mutates core::System's coverers CSR and bitmap rows
+// in place (addTag / removeTag / moveTag).  Those splices are the one
+// derived structure the ScheduleValidator cannot re-derive cheaply per
+// slot, and a single missed delta silently corrupts every weight the
+// schedulers compute from then on.  The IncrementalIndexOracle closes that
+// hole the same way check/invariants.h does for slots: periodically
+// rebuild the expected index from *raw geometry* — check::geometricCoverage,
+// a naive O(n·m) reader×tag distance scan that shares no code with the
+// incremental splices or the spatial grid — and compare FNV fingerprints
+// against the live index.
 //
 // On a divergence the oracle fails the incremental path closed: it records
 // the issue, bumps `check.index_divergence`, switches itself to paranoid
@@ -80,7 +80,7 @@ class IncrementalIndexOracle {
 
  private:
   /// Both expected fingerprints, rebuilt from positions and radii alone.
-  /// The bitmap side reuses the geometry CSR under the System's recorded
+  /// The bitmap side re-blocks the geometry rows under the System's recorded
   /// SFC permutations (the permutations are model input — assigned once at
   /// construction — not derived state the incremental path could corrupt).
   struct Expected {

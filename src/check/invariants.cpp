@@ -40,6 +40,38 @@ std::string joinInts(std::span<const int> xs, std::size_t cap = 8) {
 
 }  // namespace
 
+GeometricCoverage geometricCoverage(const core::System& sys) {
+  const auto n = static_cast<std::size_t>(sys.numReaders());
+  const auto m = static_cast<std::size_t>(sys.numTags());
+  GeometricCoverage g;
+  g.covr_off.assign(m + 1, 0);
+  for (std::size_t t = 0; t < m; ++t) {
+    if (!sys.departed(static_cast<int>(t))) {
+      const core::Tag& tag = sys.tag(static_cast<int>(t));
+      for (std::size_t v = 0; v < n; ++v) {
+        if (coversGeom(sys.reader(static_cast<int>(v)), tag)) {
+          g.covr_idx.push_back(static_cast<int>(v));
+        }
+      }
+    }
+    g.covr_off[t + 1] = static_cast<int>(g.covr_idx.size());
+  }
+  // Transpose: walking tags ascending appends each tag to its coverers'
+  // rows in ascending order, so the reader rows come out sorted for free.
+  g.cov_off.assign(n + 1, 0);
+  for (const int v : g.covr_idx) ++g.cov_off[static_cast<std::size_t>(v) + 1];
+  for (std::size_t v = 0; v < n; ++v) g.cov_off[v + 1] += g.cov_off[v];
+  g.cov_idx.resize(g.covr_idx.size());
+  std::vector<int> cursor(g.cov_off.begin(), g.cov_off.end() - 1);
+  for (std::size_t t = 0; t < m; ++t) {
+    for (const int v : g.coverers(static_cast<int>(t))) {
+      int& at = cursor[static_cast<std::size_t>(v)];
+      g.cov_idx[static_cast<std::size_t>(at++)] = static_cast<int>(t);
+    }
+  }
+  return g;
+}
+
 ScheduleValidator::ScheduleValidator(CheckOptions opt) : opt_(std::move(opt)) {}
 
 void ScheduleValidator::flag(int slot, std::string invariant,
@@ -125,36 +157,33 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
   }
 
   // Shadow the read-state and re-derive the coverable census from raw
-  // positions — never the CSR arrays we are about to audit.
-  const std::span<const char> read = sys.readState();
+  // positions — never the coverage index we are about to audit.
   initial_unread_ = 0;
   initial_uncoverable_ = 0;
   for (std::size_t t = 0; t < n; ++t) {
-    shadow_[t] = read[t] != 0 ? 1 : 0;
+    shadow_[t] = sys.isRead(static_cast<int>(t)) ? 1 : 0;
     if (shadow_[t] == 0) ++initial_unread_;
   }
 
-  // One-time CSR audit: both coverage directions must equal the geometric
-  // ground truth, list for list.  A corrupted offset or index array (the
-  // off-by-one mutant class) is caught here, before a single slot runs.
-  std::vector<int> expect;
+  // One-time index audit: both coverage directions, read through the public
+  // accessors, must equal the geometric ground truth, list for list.  A
+  // corrupted offset, index or bitmap word (the off-by-one and row-decode
+  // mutant classes) is caught here, before a single slot runs.
+  const GeometricCoverage geo = geometricCoverage(sys);
+  std::vector<int> decoded;
   for (std::size_t v = 0; v < m; ++v) {
-    expect.clear();
-    for (int t = 0; t < sys.numTags(); ++t) {
-      if (covers(sys, static_cast<int>(v), t)) expect.push_back(t);
-    }
-    const std::span<const int> got = sys.coverage(static_cast<int>(v));
-    if (!std::equal(expect.begin(), expect.end(), got.begin(), got.end())) {
-      flag(-1, "begin.coverage-csr-mismatch",
+    const std::span<const int> expect = geo.coveredTags(static_cast<int>(v));
+    sys.coveredTags(static_cast<int>(v), decoded);
+    if (!std::equal(expect.begin(), expect.end(), decoded.begin(),
+                    decoded.end())) {
+      flag(-1, "begin.coverage-row-mismatch",
            "reader " + std::to_string(v) + ": geometric coverage " +
-               joinInts(expect) + " != System::coverage " + joinInts(got));
+               joinInts(expect) + " != System::coveredTags " +
+               joinInts(decoded));
     }
   }
   for (std::size_t t = 0; t < n; ++t) {
-    expect.clear();
-    for (int v = 0; v < sys.numReaders(); ++v) {
-      if (covers(sys, v, static_cast<int>(t))) expect.push_back(v);
-    }
+    const std::span<const int> expect = geo.coverers(static_cast<int>(t));
     if (expect.empty() && shadow_[t] == 0) ++initial_uncoverable_;
     const std::span<const int> got = sys.coverers(static_cast<int>(t));
     if (!std::equal(expect.begin(), expect.end(), got.begin(), got.end())) {
@@ -397,10 +426,8 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
   if (opt_.level == CheckLevel::kParanoid) {
     // Whole-bitmap agreement at every slot, plus the System's own referee
     // and census re-asked against the naive scan.
-    const std::span<const char> read = sys.readState();
     for (int t = 0; t < sys.numTags(); ++t) {
-      if ((read[static_cast<std::size_t>(t)] != 0) !=
-          (shadow_[static_cast<std::size_t>(t)] != 0)) {
+      if (sys.isRead(t) != (shadow_[static_cast<std::size_t>(t)] != 0)) {
         flag(slot, "paranoid.bitmap-divergence",
              "tag " + std::to_string(t) + " read-state diverged");
         break;
@@ -467,10 +494,8 @@ bool ScheduleValidator::checkRun(const core::System& sys,
   }
 
   // Final state: the System's bitmap must be exactly the shadow ledger.
-  const std::span<const char> read = sys.readState();
   for (int t = 0; t < sys.numTags(); ++t) {
-    if ((read[static_cast<std::size_t>(t)] != 0) !=
-        (shadow_[static_cast<std::size_t>(t)] != 0)) {
+    if (sys.isRead(t) != (shadow_[static_cast<std::size_t>(t)] != 0)) {
       flag(-1, "run.final-state-divergence",
            "tag " + std::to_string(t) +
                " read-state diverged from the committed slots");

@@ -8,7 +8,7 @@
 //   * pairwise independence (Definition 2) from raw reader geometry,
 //     ‖v_i − v_j‖ > max(R_i, R_j) — never the cached interference graph;
 //   * the slot's served set by a naive O(|X|·m) exactly-one-coverage scan
-//     (Definition 1) over raw positions — never the CSR coverage arrays;
+//     (Definition 1) over raw positions — never the coverage index;
 //   * monotone read-state growth against a private shadow bitmap;
 //   * MCS postconditions (Definition 4 / §III): a run that claims
 //     completion left no servable tag unread, no committed slot claimed a
@@ -19,7 +19,7 @@
 // The validator plugs into the MCS driver via McsOptions::validator and is
 // deliberately *redundant* with the production code: it shares the
 // System's data (positions, radii, the fault plan) but none of its derived
-// structures, so a corrupted CSR index, a broken lazy-greedy key, or a
+// structures, so a corrupted coverage index, a broken lazy-greedy key, or a
 // referee regression shows up as a violation instead of a silently wrong
 // schedule.  tools/mutation_smoke.sh proves the redundancy has teeth by
 // seeding exactly such bugs and asserting the validator flags each one.
@@ -48,8 +48,8 @@ namespace rfid::check {
 
 /// How much redundant work the validator performs per slot.
 enum class CheckLevel {
-  /// Every invariant listed above; whole-bitmap and CSR cross-checks run
-  /// once per run (begin/end).
+  /// Every invariant listed above; whole-bitmap and coverage-index
+  /// cross-checks run once per run (begin/end).
   kNormal,
   /// Additionally re-verifies the full read bitmap, the live coverable
   /// count, and the System's own referee (weight(X) vs the naive scan)
@@ -89,6 +89,30 @@ struct CheckOptions {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
 };
+
+/// Both coverage directions from positions and radii alone: a naive O(n·m)
+/// reader×tag distance scan sharing nothing with the System's spatial grid,
+/// bitmap rows or incremental splices.  Departed tags get empty rows, as
+/// after System::removeTag.  cov_* is the transpose of covr_*; rows ascend.
+struct GeometricCoverage {
+  std::vector<int> covr_off;  // numTags()+1
+  std::vector<int> covr_idx;
+  std::vector<int> cov_off;   // numReaders()+1
+  std::vector<int> cov_idx;
+
+  std::span<const int> coverers(int t) const {
+    return row(covr_off, covr_idx, t);
+  }
+  std::span<const int> coveredTags(int v) const {
+    return row(cov_off, cov_idx, v);
+  }
+  static std::span<const int> row(const std::vector<int>& off,
+                                  const std::vector<int>& idx, int i) {
+    const auto u = static_cast<std::size_t>(i);
+    return {idx.data() + off[u], static_cast<std::size_t>(off[u + 1] - off[u])};
+  }
+};
+GeometricCoverage geometricCoverage(const core::System& sys);
 
 /// One recorded violation.
 struct CheckIssue {

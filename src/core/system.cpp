@@ -36,10 +36,8 @@ System::System(std::vector<Reader> readers, std::vector<Tag> tags)
   for (std::size_t i = 0; i < tags_.size(); ++i) tags_[i].id = static_cast<int>(i);
 
   departed_.assign(tags_.size(), 0);
-  read_.assign(tags_.size(), 0);
-  buildIndex();
-  assignSfcOrder();
-  buildBitmap();
+  read_bits_.assign((tags_.size() + 63) / 64, 0);
+  buildIndex(/*assign_sfc=*/true);
 
   // The reader grid is built here, once per System (readers never move):
   // the referee's victim pass queries it from const, concurrent weight
@@ -55,53 +53,90 @@ System::System(std::vector<Reader> readers, std::vector<Tag> tags)
   initScratch(scratch_);
 }
 
-void System::buildIndex() {
-  // Index tags once; coverage queries are disk queries around readers.
+void System::buildIndex(bool assign_sfc) {
   double max_gamma = 1.0;
   for (const Reader& r : readers_) max_gamma = std::max(max_gamma, r.interrogation_radius);
   max_gamma_ = max_gamma;
-  std::vector<geom::Vec2> tag_pos;
-  tag_pos.reserve(tags_.size());
-  for (const Tag& t : tags_) tag_pos.push_back(t.pos);
-  const geom::SpatialGrid tag_index(tag_pos, max_gamma);
 
-  // Build reader → tag coverage directly into the CSR arrays, then invert
-  // by counting sort: iterating v ascending appends each tag's coverers in
-  // ascending reader order, matching the per-list sort queryDisk provides
-  // for tags.
-  cov_off_.assign(readers_.size() + 1, 0);
-  cov_idx_.clear();
-  for (std::size_t v = 0; v < readers_.size(); ++v) {
-    // queryDisk appends (and sorts the appended tail), so the flat index
-    // array is produced directly, one reader after another.  Departed tags
-    // still sit in the grid at their last position; drop them from the
-    // appended tail (stable, preserving ascending order).
-    const std::size_t before = cov_idx_.size();
-    tag_index.queryDisk(readers_[v].pos, readers_[v].interrogation_radius,
-                        cov_idx_);
-    ++grid_queries_;
-    std::size_t w = before;
-    for (std::size_t r = before; r < cov_idx_.size(); ++r) {
-      if (departed_[static_cast<std::size_t>(cov_idx_[r])] == 0) {
-        cov_idx_[w++] = cov_idx_[r];
+  // Reader → tags into one local flat buffer, row v at cov[off[v] ..
+  // off[v+1]) and ascending (queryDisk sorts what it appends).  It feeds
+  // both persistent indexes below and is freed on return.
+  const std::size_t n = readers_.size();
+  std::vector<std::size_t> off(n + 1, 0);
+  std::vector<int> cov;
+  {
+    // Index tags once; coverage queries are disk queries around readers.
+    // The grid is freed before the index arrays are filled.
+    std::vector<geom::Vec2> tag_pos;
+    tag_pos.reserve(tags_.size());
+    for (const Tag& t : tags_) tag_pos.push_back(t.pos);
+    const geom::SpatialGrid tag_index(tag_pos, max_gamma);
+    for (std::size_t v = 0; v < n; ++v) {
+      // Departed tags still sit in the grid at their last position; drop
+      // them from the appended tail (stable, preserving ascending order).
+      const std::size_t before = cov.size();
+      tag_index.queryDisk(readers_[v].pos, readers_[v].interrogation_radius,
+                          cov);
+      ++grid_queries_;
+      std::size_t w = before;
+      for (std::size_t r = before; r < cov.size(); ++r) {
+        if (departed_[static_cast<std::size_t>(cov[r])] == 0) cov[w++] = cov[r];
+      }
+      cov.resize(w);
+      off[v + 1] = cov.size();
+    }
+  }
+
+  // Invert by counting sort: iterating v ascending appends each tag's
+  // coverers in ascending reader order.
+  covr_idx_.resize(cov.size());
+  checkIndexCapacity();
+  covr_off_.assign(tags_.size() + 1, 0);
+  for (const int t : cov) ++covr_off_[static_cast<std::size_t>(t) + 1];
+  for (std::size_t t = 0; t < tags_.size(); ++t) covr_off_[t + 1] += covr_off_[t];
+  std::vector<int> cursor(covr_off_.begin(), covr_off_.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
+      int& at = cursor[static_cast<std::size_t>(cov[i])];
+      covr_idx_[static_cast<std::size_t>(at++)] = static_cast<int>(v);
+    }
+  }
+
+  // Assigned here, after the grid queries, rather than before them: at the
+  // benchmark shapes that order leaves a smaller heap behind construction.
+  if (assign_sfc) assignSfcOrder();
+  // Bitmap rows in Morton reader order, each row's bit positions sorted so
+  // equal blocks merge into one canonical entry.
+  bit_off_.assign(n + 1, 0);
+  bit_arena_.clear();
+  bit_arena_.reserve(cov.size());  // ≤ one entry per coverage element
+  std::vector<std::uint32_t> bits;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto v = static_cast<std::size_t>(reader_of_[r]);
+    bits.clear();
+    for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
+      bits.push_back(bit_of_[static_cast<std::size_t>(cov[i])]);
+    }
+    std::sort(bits.begin(), bits.end());
+    for (const std::uint32_t p : bits) {
+      const std::uint32_t w = p >> 6;
+      if (bit_arena_.size() > bit_off_[r] && bit_arena_.back().word == w) {
+        bit_arena_.back().bits |= std::uint64_t{1} << (p & 63);
+      } else {
+        bit_arena_.push_back({w, 0, std::uint64_t{1} << (p & 63)});
       }
     }
-    cov_idx_.resize(w);
-    cov_off_[v + 1] = static_cast<int>(cov_idx_.size());
+    bit_off_[r + 1] = static_cast<std::uint32_t>(bit_arena_.size());
   }
+  bit_arena_.shrink_to_fit();  // the single arena allocation per System
 
-  covr_off_.assign(tags_.size() + 1, 0);
-  for (const int t : cov_idx_) ++covr_off_[static_cast<std::size_t>(t) + 1];
-  for (std::size_t t = 0; t < tags_.size(); ++t) covr_off_[t + 1] += covr_off_[t];
-  covr_idx_.resize(cov_idx_.size());
-  std::vector<int> cursor(covr_off_.begin(), covr_off_.end() - 1);
-  for (std::size_t v = 0; v < readers_.size(); ++v) {
-    for (const int t : coverage(static_cast<int>(v))) {
-      covr_idx_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(t)]++)] =
-          static_cast<int>(v);
+  coverable_bits_.assign(read_bits_.size(), 0);
+  for (std::size_t t = 0; t < tags_.size(); ++t) {
+    if (covr_off_[t + 1] > covr_off_[t]) {
+      const std::uint32_t p = bit_of_[t];
+      coverable_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
     }
   }
-  checkIndexCapacity();
 }
 
 void System::checkIndexCapacity() const {
@@ -110,11 +145,11 @@ void System::checkIndexCapacity() const {
   // the sizing math rather than corrupt silently — the bench generators and
   // the CLI surface this message verbatim.
   constexpr std::size_t kMaxEntries = 0x7fffffff;
-  if (cov_idx_.size() > kMaxEntries) {
+  if (covr_idx_.size() > kMaxEntries) {
     throw std::length_error(
         "coverage index overflow: n=" + std::to_string(readers_.size()) +
         " readers x m=" + std::to_string(tags_.size()) + " tags produce " +
-        std::to_string(cov_idx_.size()) +
+        std::to_string(covr_idx_.size()) +
         " coverage entries, past the 2^31-1 a 32-bit arena offset can "
         "address; reduce density or split the deployment");
   }
@@ -148,48 +183,6 @@ void System::assignSfcOrder() {
   }
 }
 
-void System::buildBitmap() {
-  const std::size_t n = readers_.size();
-  const std::size_t words = (tag_of_.size() + 63) / 64;
-  bit_off_.assign(n + 1, 0);
-  bit_arena_.clear();
-  bit_arena_.reserve(cov_idx_.size());  // ≤ one entry per coverage element
-  std::vector<std::uint32_t> bits;
-  for (std::size_t r = 0; r < n; ++r) {
-    const int v = reader_of_[r];
-    const std::span<const int> cov = coverage(v);
-    bits.clear();
-    bits.reserve(cov.size());
-    for (const int t : cov) bits.push_back(bit_of_[static_cast<std::size_t>(t)]);
-    std::sort(bits.begin(), bits.end());
-    for (const std::uint32_t p : bits) {
-      const std::uint32_t w = p >> 6;
-      if (bit_arena_.size() > bit_off_[r] && bit_arena_.back().word == w) {
-        bit_arena_.back().bits |= std::uint64_t{1} << (p & 63);
-      } else {
-        bit_arena_.push_back({w, 0, std::uint64_t{1} << (p & 63)});
-      }
-    }
-    bit_off_[r + 1] = static_cast<std::uint32_t>(bit_arena_.size());
-  }
-  bit_arena_.shrink_to_fit();  // the single arena allocation per System
-
-  read_bits_.assign(words, 0);
-  for (std::size_t t = 0; t < tags_.size(); ++t) {
-    if (read_[t] != 0) {
-      const std::uint32_t p = bit_of_[t];
-      read_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    }
-  }
-  coverable_bits_.assign(words, 0);
-  for (std::size_t t = 0; t < tags_.size(); ++t) {
-    if (covr_off_[t + 1] > covr_off_[t]) {
-      const std::uint32_t p = bit_of_[t];
-      coverable_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    }
-  }
-}
-
 void System::initScratch(WeightScratch& scratch) const {
   scratch.victim.assign(readers_.size(), 0);
   scratch.once.assign(read_bits_.size(), 0);
@@ -214,13 +207,13 @@ void System::markRead(std::span<const int> tags) {
 }
 
 void System::resetReads() {
-  std::fill(read_.begin(), read_.end(), 0);
   std::fill(read_bits_.begin(), read_bits_.end(), 0);
 }
 
 int System::unreadCount() const {
-  int n = 0;
-  for (const char r : read_) n += (r == 0);
+  // Bits past numTagBits() are never set, so every set bit is a tag.
+  int n = numTags();
+  for (const std::uint64_t w : read_bits_) n -= std::popcount(w);
   return n;
 }
 
@@ -402,6 +395,18 @@ int System::weight(std::span<const int> X, WeightScratch& scratch) const {
   return evalBitmap(X, {}, scratch, nullptr);
 }
 
+void System::coveredTags(int v, std::vector<int>& out) const {
+  out.clear();
+  for (const BitEntry& e : bitRow(v)) {
+    const std::uint32_t base = e.word << 6;
+    for (std::uint64_t b = e.bits; b != 0; b &= b - 1) {
+      out.push_back(
+          tag_of_[base + static_cast<std::uint32_t>(std::countr_zero(b))]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+}
+
 int System::singleWeight(int v) const {
   int w = 0;
   for (const BitEntry& e : bitRow(v)) {
@@ -424,80 +429,6 @@ void System::coveringReaders(geom::Vec2 pos, std::vector<int>& out) {
     if (geom::dist2(pos, r.pos) <= g * g) out[w++] = v;
   }
   out.resize(w);
-}
-
-void System::covInsert(std::span<const int> readers, int t) {
-  if (readers.empty()) return;
-  // Multi-insert in one backward pass: find each row's insertion point
-  // (rows are ascending in tag index), shift the tail segments right once.
-  const std::size_t k = readers.size();
-  const std::size_t old_size = cov_idx_.size();
-  cov_idx_.resize(old_size + k);
-  std::size_t read_end = old_size;            // exclusive end of unmoved data
-  std::size_t write = cov_idx_.size();        // exclusive end of write window
-  for (std::size_t i = k; i-- > 0;) {
-    const int v = readers[i];
-    const auto row_lo = cov_idx_.begin() + cov_off_[static_cast<std::size_t>(v)];
-    const auto row_hi = cov_idx_.begin() + cov_off_[static_cast<std::size_t>(v) + 1];
-    const std::size_t ins = static_cast<std::size_t>(
-        std::lower_bound(row_lo, row_hi, t) - cov_idx_.begin());
-    std::copy_backward(cov_idx_.begin() + static_cast<std::ptrdiff_t>(ins),
-                       cov_idx_.begin() + static_cast<std::ptrdiff_t>(read_end),
-                       cov_idx_.begin() + static_cast<std::ptrdiff_t>(write));
-    write -= read_end - ins;
-    cov_idx_[--write] = t;
-    read_end = ins;
-  }
-  // Offset fixup: rows at or after reader v gained the insertions in rows
-  // <= v.  One O(n + k) sweep (readers is ascending and duplicate-free).
-  std::size_t ci = 0;
-  int shift = 0;
-  for (std::size_t v = 0; v < readers_.size(); ++v) {
-    if (ci < k && readers[ci] == static_cast<int>(v)) {
-      ++shift;
-      ++ci;
-    }
-    cov_off_[v + 1] += shift;
-  }
-}
-
-void System::covErase(std::span<const int> readers, int t) {
-  if (readers.empty()) return;
-  // Mirror of covInsert: one forward compaction pass over the tail.
-  const std::size_t k = readers.size();
-  std::size_t write = 0;
-  std::size_t src = 0;
-  bool first = true;
-  for (const int v : readers) {
-    const auto row_lo = cov_idx_.begin() + cov_off_[static_cast<std::size_t>(v)];
-    const auto row_hi = cov_idx_.begin() + cov_off_[static_cast<std::size_t>(v) + 1];
-    const auto it = std::lower_bound(row_lo, row_hi, t);
-    assert(it != row_hi && *it == t && "cov row must contain the tag");
-    const std::size_t pos = static_cast<std::size_t>(it - cov_idx_.begin());
-    if (first) {
-      write = pos;
-      src = pos + 1;
-      first = false;
-      continue;
-    }
-    std::copy(cov_idx_.begin() + static_cast<std::ptrdiff_t>(src),
-              cov_idx_.begin() + static_cast<std::ptrdiff_t>(pos),
-              cov_idx_.begin() + static_cast<std::ptrdiff_t>(write));
-    write += pos - src;
-    src = pos + 1;
-  }
-  std::copy(cov_idx_.begin() + static_cast<std::ptrdiff_t>(src), cov_idx_.end(),
-            cov_idx_.begin() + static_cast<std::ptrdiff_t>(write));
-  cov_idx_.resize(cov_idx_.size() - k);
-  std::size_t ci = 0;
-  int shift = 0;
-  for (std::size_t v = 0; v < readers_.size(); ++v) {
-    if (ci < k && readers[ci] == static_cast<int>(v)) {
-      ++shift;
-      ++ci;
-    }
-    cov_off_[v + 1] -= shift;
-  }
 }
 
 void System::covrReplace(int t, std::span<const int> readers) {
@@ -527,7 +458,7 @@ void System::bitmapInsert(std::span<const int> readers, int t) {
   const std::uint32_t w = p >> 6;
   const std::uint64_t mask = std::uint64_t{1} << (p & 63);
   // Rows that already hold block `w` just OR the bit in; the rest need a
-  // structural entry, batched into one backward shift (mirror of covInsert).
+  // structural entry, batched into one backward shift of the arena tail.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ins;  // (row, arena pos)
   for (const int v : readers) {
     const std::uint32_t r = row_of_[static_cast<std::size_t>(v)];
@@ -636,7 +567,6 @@ int System::addTag(Tag t) {
   const int idx = numTags();
   t.id = idx;
   tags_.push_back(t);
-  read_.push_back(0);
   departed_.push_back(0);
 
   std::vector<int> cs;
@@ -645,9 +575,6 @@ int System::addTag(Tag t) {
   // new index is larger than every existing one.
   covr_idx_.insert(covr_idx_.end(), cs.begin(), cs.end());
   covr_off_.push_back(static_cast<int>(covr_idx_.size()));
-  // cov: the new tag index is the largest, so each insertion point is the
-  // row end; covInsert handles the general case anyway.
-  covInsert(cs, idx);
 
   // Bitmap: churn-added tags take the next bit position past the Morton
   // range (locality only matters for the construction-time bulk).
@@ -671,7 +598,6 @@ void System::removeTag(int t) {
   assert(!departed(t) && "removeTag on a tombstone");
   const std::span<const int> row = coverers(t);
   const std::vector<int> cs(row.begin(), row.end());
-  covErase(cs, t);
   covrReplace(t, {});
   bitmapErase(cs, t);
   departed_[static_cast<std::size_t>(t)] = 1;
@@ -679,7 +605,6 @@ void System::removeTag(int t) {
   // same way a served tag is.  The read-state diff in the caches sees the
   // flip, finds an empty coverers row, and the dirty-log entries below
   // carry the exact correction.
-  read_[static_cast<std::size_t>(t)] = 1;
   {
     const std::uint32_t p = bit_of_[static_cast<std::size_t>(t)];
     coverable_bits_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
@@ -698,8 +623,6 @@ void System::moveTag(int t, geom::Vec2 pos) {
   coveringReaders(pos, new_cs);
   tags_[static_cast<std::size_t>(t)].pos = pos;
   if (new_cs != old_cs) {
-    covErase(old_cs, t);
-    covInsert(new_cs, t);
     covrReplace(t, new_cs);
     // The tag keeps its bit position — only which rows hold it changes.
     bitmapErase(old_cs, t);
@@ -716,12 +639,10 @@ void System::moveTag(int t, geom::Vec2 pos) {
   ++structural_epoch_;
 }
 
-std::uint64_t System::fingerprintArrays(std::span<const int> cov_off,
-                                        std::span<const int> cov_idx,
-                                        std::span<const int> covr_off,
+std::uint64_t System::fingerprintArrays(std::span<const int> covr_off,
                                         std::span<const int> covr_idx) {
-  // FNV-1a over the four arrays' little-endian bytes, with a separator
-  // byte between arrays so length boundaries cannot alias.
+  // FNV-1a over both arrays' little-endian bytes, with a separator byte
+  // after each array so length boundaries cannot alias.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::span<const int> a) {
     for (const int x : a) {
@@ -734,15 +655,13 @@ std::uint64_t System::fingerprintArrays(std::span<const int> cov_off,
     h ^= 0xffu;
     h *= 1099511628211ull;
   };
-  mix(cov_off);
-  mix(cov_idx);
   mix(covr_off);
   mix(covr_idx);
   return h;
 }
 
 std::uint64_t System::indexFingerprint() const {
-  return fingerprintArrays(cov_off_, cov_idx_, covr_off_, covr_idx_);
+  return fingerprintArrays(covr_off_, covr_idx_);
 }
 
 std::uint64_t System::fingerprintBitmap(std::span<const std::uint32_t> off,
@@ -782,8 +701,8 @@ std::uint64_t System::bitmapFingerprint() const {
 }
 
 void System::rebuildIndex() {
-  buildIndex();
-  buildBitmap();
+  // Bit positions are stable, so read_bits_ carries over untouched.
+  buildIndex(/*assign_sfc=*/false);
   invalidateDirtyLog();
 }
 
@@ -796,17 +715,12 @@ void System::testOnlyCorruptIndex() {
       return;
     }
   }
-  for (std::size_t i = 1; i < cov_idx_.size(); ++i) {
-    if (cov_idx_[i] != cov_idx_[0]) {
-      std::swap(cov_idx_[0], cov_idx_[i]);
-      return;
-    }
-  }
 }
 
 void System::testOnlyCorruptBitmap() {
-  // Flip one bit in the first arena entry: the CSR stays intact, so only a
-  // bitmap-aware oracle (or the equivalence matrix) can notice.
+  // Flip one bit in the first arena entry: the coverers CSR stays intact,
+  // so only a bitmap-aware check (the oracle, the validator's begin audit,
+  // the equivalence matrix) can notice.
   if (!bit_arena_.empty()) bit_arena_[0].bits ^= 1;
 }
 

@@ -1,19 +1,18 @@
 // system.h — the multi-reader RFID system model (paper §II–III).
 //
 // A System owns the static deployment (readers, tags, precomputed coverage
-// lists) plus the one piece of mutable state the MCS loop needs: which tags
+// index) plus the one piece of mutable state the MCS loop needs: which tags
 // have already been served.  Everything the schedulers consume — coverage,
 // independence, weights, well-covered semantics — is defined here so that
 // every algorithm (PTAS, growth-bounded, distributed, Colorwave, GHC) is
 // scored by the exact same referee.
 //
-// Coverage is stored CSR-style (offsets + one flat index array) in both
-// directions: reader → tags in its interrogation disk, and the inverted
-// tag → covering readers index.  The flat layout keeps the weight kernels'
-// inner loops on contiguous memory, and the inverted index is what lets the
-// lazy-greedy machinery (core/weight.h) dirty-mark exactly the readers whose
-// marginal weight a commit or a served tag actually changed
-// (docs/performance.md).
+// Coverage is indexed once per direction.  Reader → tags lives in blocked
+// bitmap rows, which the popcount referee sweeps and coveredTags() decodes.
+// Tag → covering readers is a CSR index (offsets + one flat index array);
+// it is what lets the lazy-greedy machinery (core/weight.h) dirty-mark
+// exactly the readers whose marginal weight a commit or a served tag
+// actually changed (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -64,9 +63,9 @@ struct WeightScratch {
 /// evaluation passes an explicit WeightScratch per thread instead.
 class System {
  public:
-  /// Builds the system and precomputes coverage both ways (reader → tags in
-  /// its interrogation disk, tag → covering readers).  Reader/tag `id`
-  /// fields are rewritten to their indices to keep identity unambiguous.
+  /// Builds the system and precomputes coverage both ways (reader → tags as
+  /// bitmap rows, tag → covering readers as CSR).  Reader/tag `id` fields
+  /// are rewritten to their indices to keep identity unambiguous.
   System(std::vector<Reader> readers, std::vector<Tag> tags);
 
   int numReaders() const { return static_cast<int>(readers_.size()); }
@@ -76,12 +75,10 @@ class System {
   std::span<const Reader> readers() const { return readers_; }
   std::span<const Tag> tags() const { return tags_; }
 
-  /// Tag indices inside reader `v`'s interrogation disk, ascending.
-  std::span<const int> coverage(int v) const {
-    const auto lo = static_cast<std::size_t>(cov_off_[static_cast<std::size_t>(v)]);
-    const auto hi = static_cast<std::size_t>(cov_off_[static_cast<std::size_t>(v) + 1]);
-    return {cov_idx_.data() + lo, hi - lo};
-  }
+  /// Replaces `out` with the tag indices inside reader `v`'s interrogation
+  /// disk, ascending: v's bitmap row decoded through bitTag, then sorted.
+  /// Uses no shared scratch, so concurrent calls are safe.
+  void coveredTags(int v, std::vector<int>& out) const;
   /// Reader indices whose interrogation disk contains tag `t`, ascending
   /// (the inverted coverage index).
   std::span<const int> coverers(int t) const {
@@ -107,9 +104,11 @@ class System {
 
   // ---- read-state (MCS loop renders served tags passive) ----
 
-  bool isRead(int t) const { return read_[static_cast<std::size_t>(t)] != 0; }
+  bool isRead(int t) const {
+    const std::uint32_t p = bit_of_[static_cast<std::size_t>(t)];
+    return ((read_bits_[p >> 6] >> (p & 63)) & 1) != 0;
+  }
   void markRead(int t) {
-    read_[static_cast<std::size_t>(t)] = 1;
     const std::uint32_t p = bit_of_[static_cast<std::size_t>(t)];
     read_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
   }
@@ -119,16 +118,11 @@ class System {
   /// future tags as read ("not in the field yet") and un-reads each one at
   /// its arrival slot.
   void markUnread(int t) {
-    read_[static_cast<std::size_t>(t)] = 0;
     const std::uint32_t p = bit_of_[static_cast<std::size_t>(t)];
     read_bits_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
   }
   /// Forgets all reads; used between independent experiments on one System.
   void resetReads();
-  /// The raw read bitmap, one byte per tag (nonzero = read).  Checkpoint
-  /// snapshots and the check:: oracle copy it wholesale instead of n
-  /// isRead() calls.
-  std::span<const char> readState() const { return read_; }
   /// Number of unread tags (coverable or not).
   int unreadCount() const;
   /// Number of unread tags covered by at least one reader — the MCS loop
@@ -178,24 +172,26 @@ class System {
   // ---- structural churn (streaming mode, docs/streaming.md) ----
   //
   // Tags arrive, move, and depart while readers stay fixed.  Each mutation
-  // patches the dual CSR index in place, bumps the structural epoch, and
-  // appends the affected reader rows to a bounded dirty-reader log so the
-  // scheduler-side caches (core/weight.h) can absorb churn through the same
-  // diff mechanism they already use for read-state changes across slots.
+  // patches the coverers CSR and the bitmap rows in place, bumps the
+  // structural epoch, and appends the affected reader rows to a bounded
+  // dirty-reader log so the scheduler-side caches (core/weight.h) can absorb
+  // churn through the same diff mechanism they already use for read-state
+  // changes across slots.
   // None of these are thread-safe; call them only between schedule() calls
   // (the streaming driver does exactly that).
 
   /// Appends a new tag (position + EPC; `id` is rewritten to the new index)
-  /// and splices it into both CSR directions.  Returns the tag's index.
+  /// and splices it into both coverage directions.  Returns the tag's index.
   /// Indices of existing tags never change; departed slots are not reused.
   int addTag(Tag t);
 
-  /// Removes tag `t` from the field: its CSR entries are spliced out (its
-  /// coverers row becomes empty), it is marked read, and the index becomes
-  /// a tombstone (`departed`).  Safe on read tags; must not be repeated.
+  /// Removes tag `t` from the field: its coverage entries are spliced out
+  /// (its coverers row becomes empty), it is marked read, and the index
+  /// becomes a tombstone (`departed`).  Safe on read tags; must not be
+  /// repeated.
   void removeTag(int t);
 
-  /// Moves tag `t` to `pos`, rewriting its coverage in both CSR directions.
+  /// Moves tag `t` to `pos`, rewriting its coverage in both directions.
   /// The read-state is untouched: an unread tag stays unread at the new
   /// position.  Must not be called on a departed tag.
   void moveTag(int t, geom::Vec2 pos);
@@ -209,29 +205,27 @@ class System {
   /// stays constant across in-place mutation.
   std::uint64_t structuralEpoch() const { return structural_epoch_; }
 
-  /// FNV-1a over the four CSR arrays — the incremental-index identity the
+  /// FNV-1a over the coverers CSR — the incremental-index identity the
   /// check::IncrementalIndexOracle compares against a from-scratch rebuild.
   std::uint64_t indexFingerprint() const;
 
   /// Shared hash so the oracle can fingerprint its independently rebuilt
   /// arrays with the exact same byte order.
-  static std::uint64_t fingerprintArrays(std::span<const int> cov_off,
-                                         std::span<const int> cov_idx,
-                                         std::span<const int> covr_off,
+  static std::uint64_t fingerprintArrays(std::span<const int> covr_off,
                                          std::span<const int> covr_idx);
 
   // ---- bitmap coverage index (the popcount weight referee) ----
   //
-  // Beside the dual CSR lives a blocked per-reader coverage bitmap: tag t
-  // occupies bit position tagBit(t) (Morton rank of its position, so one
-  // disk's tags cluster into few words; churn-added tags append at the
+  // The reader → tags direction is a blocked per-reader coverage bitmap:
+  // tag t occupies bit position tagBit(t) (Morton rank of its position, so
+  // one disk's tags cluster into few words; churn-added tags append at the
   // tail), and reader v's row — the non-zero 64-bit words of its coverage
   // set — sits at arena rows readerRow(v), rows themselves in Morton order
-  // of the reader positions.  weight(), wellCoveredTags(), singleWeight()
-  // and unreadCoverableCount() run over this index; the tests hold them to
-  // a CSR walk (tests/reference_paths.h), and the incremental-index oracle
-  // verifies the bitmap against geometry exactly like the CSR
-  // (docs/performance.md).
+  // of the reader positions.  weight(), wellCoveredTags(), singleWeight(),
+  // unreadCoverableCount() and coveredTags() run over this index; the tests
+  // hold the referee to a coverers walk (tests/reference_paths.h), and the
+  // incremental-index oracle verifies the bitmap against geometry exactly
+  // like the coverers CSR (docs/performance.md).
 
   /// Tag t's bit position in the coverage bitmaps (Morton rank at
   /// construction; tags added later append past the construction range).
@@ -264,7 +258,7 @@ class System {
                                          std::span<const std::uint32_t> row_of,
                                          std::span<const std::uint32_t> bit_of);
 
-  /// Rebuilds both CSR directions from raw geometry (skipping departed
+  /// Rebuilds both coverage directions from raw geometry (skipping departed
   /// tags), discarding whatever the incremental path had accumulated — the
   /// self-heal step after the oracle flags a divergence.  Invalidates every
   /// dirty-log cursor, so caches do a full rebuild at their next sync.
@@ -285,12 +279,12 @@ class System {
     return {dirty_log_.data() + skip, dirty_log_.size() - skip};
   }
 
-  /// Test hook: silently corrupts one CSR entry (no epoch bump, no dirty
-  /// log) to simulate an incremental-update bug for the oracle tests.
+  /// Test hook: silently corrupts one coverers entry (no epoch bump, no
+  /// dirty log) to simulate an incremental-update bug for the oracle tests.
   void testOnlyCorruptIndex();
 
-  /// Test hook: flips one bit in the bitmap arena (CSR untouched) to
-  /// simulate a bitmap/CSR desync for the oracle and mutation-smoke tests.
+  /// Test hook: flips one bit in the bitmap arena (coverers untouched) to
+  /// simulate a bitmap/CSR desync for the oracle and validator tests.
   void testOnlyCorruptBitmap();
 
   // ---- observability ----
@@ -306,9 +300,11 @@ class System {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
-  /// From-scratch CSR construction (constructor and rebuildIndex); skips
-  /// departed tags.
-  void buildIndex();
+  /// From-scratch construction of the coverers CSR, the bitmap rows and
+  /// the coverable bits (constructor and rebuildIndex); skips departed
+  /// tags.  `assign_sfc` (constructor only) assigns the SFC permutations
+  /// before the bitmap rows are filled; rebuilds keep the existing ones.
+  void buildIndex(bool assign_sfc);
   /// Fails closed (std::length_error with sizing math) when the coverage
   /// index would overflow the 32-bit arena offsets.
   void checkIndexCapacity() const;
@@ -316,9 +312,6 @@ class System {
   /// slots stay stable across mutations and rebuilds so fingerprints,
   /// caches, and the oracle all speak one layout).
   void assignSfcOrder();
-  /// Rebuilds the bitmap arena from the current CSR under the existing
-  /// permutations (constructor and rebuildIndex).
-  void buildBitmap();
   /// Splices tag `t`'s bit into / out of the bitmap rows of `readers`.
   void bitmapInsert(std::span<const int> readers, int t);
   void bitmapErase(std::span<const int> readers, int t);
@@ -333,9 +326,6 @@ class System {
   void buildInterferenceRows();
   /// Readers covering position `pos`, ascending (reader grid query).
   void coveringReaders(geom::Vec2 pos, std::vector<int>& out);
-  /// Splices tag `t` into / out of the cov rows of `readers` (ascending).
-  void covInsert(std::span<const int> readers, int t);
-  void covErase(std::span<const int> readers, int t);
   /// Replaces covr row `t` with `readers` (ascending).
   void covrReplace(int t, std::span<const int> readers);
   void logDirty(std::span<const int> readers);
@@ -344,10 +334,8 @@ class System {
 
   std::vector<Reader> readers_;
   std::vector<Tag> tags_;
-  // CSR coverage, both directions.  Offsets have one trailing entry, so
-  // list v is cov_idx_[cov_off_[v] .. cov_off_[v+1]).
-  std::vector<int> cov_off_;   // size numReaders()+1
-  std::vector<int> cov_idx_;   // reader → tags, ascending per reader
+  // Coverers CSR.  Offsets have one trailing entry, so row t is
+  // covr_idx_[covr_off_[t] .. covr_off_[t+1]).
   std::vector<int> covr_off_;  // size numTags()+1
   std::vector<int> covr_idx_;  // tag → readers, ascending per tag
   // Bitmap coverage index: one arena of non-zero words, rows in Morton
@@ -362,7 +350,6 @@ class System {
   std::vector<int> tag_of_;                   // bit position → tag
   std::vector<std::uint64_t> read_bits_;      // read-state, word per block
   std::vector<std::uint64_t> coverable_bits_; // ≥1 coverer, word per block
-  std::vector<char> read_;
   // Structural-churn state.
   std::vector<char> departed_;       // tombstones (removeTag)
   std::uint64_t structural_epoch_ = 0;

@@ -6,61 +6,64 @@
 
 namespace rfid::core {
 
+namespace {
+
+/// Calls f(p) for every tag bit position p set in `bits` of block `word`.
+template <typename F>
+void forEachBit(std::uint32_t word, std::uint64_t bits, F&& f) {
+  const std::uint32_t base = word << 6;
+  for (; bits != 0; bits &= bits - 1) {
+    f(base + static_cast<std::uint32_t>(std::countr_zero(bits)));
+  }
+}
+
+}  // namespace
+
 WeightEvaluator::WeightEvaluator(const System& sys) : sys_(&sys) {
-  count_.assign(static_cast<std::size_t>(sys.numTags()), 0);
+  count_.assign(sys.numTagBits(), 0);
 }
 
 int WeightEvaluator::push(int v) {
-  ++ops_;
-  int delta = 0;
-  for (const int t : sys_->coverage(v)) {
-    if (sys_->isRead(t)) {
-      // Served tags never count, but multiplicities must still be tracked
-      // so pop() restores state exactly.
-      ++count_[static_cast<std::size_t>(t)];
-      continue;
-    }
-    const int c = count_[static_cast<std::size_t>(t)]++;
-    if (c == 0) {
-      ++delta;  // newly exclusively covered
-    } else if (c == 1) {
-      --delta;  // previously exclusive tag now lost to RRc
-    }
-  }
   stack_.push_back(v);
-  weight_ += delta;
-  return delta;
+  return shift(v, 1);
 }
 
 int WeightEvaluator::pop() {
   assert(!stack_.empty());
-  ++ops_;
   const int v = stack_.back();
   stack_.pop_back();
+  return shift(v, -1);
+}
+
+int WeightEvaluator::shift(int v, int by) {
+  ++ops_;
+  const std::span<const std::uint64_t> read = sys_->readBits();
   int delta = 0;
-  for (const int t : sys_->coverage(v)) {
-    if (sys_->isRead(t)) {
-      --count_[static_cast<std::size_t>(t)];
-      continue;
-    }
-    const int c = --count_[static_cast<std::size_t>(t)];
-    if (c == 0) {
-      --delta;  // tag was exclusive to v, leaves the well-covered set
-    } else if (c == 1) {
-      ++delta;  // tag regains exclusivity for its remaining coverer
-    }
+  for (const BitEntry& e : sys_->bitRow(v)) {
+    // Served tags never count, but multiplicities must still be tracked so
+    // pop() restores state exactly.
+    forEachBit(e.word, e.bits & read[e.word],
+               [this, by](std::uint32_t p) { count_[p] += by; });
+    // An unread tag is well-covered while exactly one member covers it:
+    // push gains it on 0→1 and loses it to RRc on 1→2; pop reverses both.
+    forEachBit(e.word, e.bits & ~read[e.word],
+               [this, by, &delta](std::uint32_t p) {
+                 const int c = count_[p];
+                 count_[p] = c + by;
+                 delta += (c + by == 1 ? 1 : 0) - (c == 1 ? 1 : 0);
+               });
   }
   weight_ += delta;
   return delta;
 }
 
 int WeightEvaluator::peekDelta(int v) const {
+  const std::span<const std::uint64_t> read = sys_->readBits();
   int delta = 0;
-  for (const int t : sys_->coverage(v)) {
-    if (sys_->isRead(t)) continue;
-    const int c = count_[static_cast<std::size_t>(t)];
-    if (c == 0) ++delta;
-    else if (c == 1) --delta;
+  for (const BitEntry& e : sys_->bitRow(v)) {
+    forEachBit(e.word, e.bits & ~read[e.word], [this, &delta](std::uint32_t p) {
+      delta += (count_[p] == 0 ? 1 : 0) - (count_[p] == 1 ? 1 : 0);
+    });
   }
   return delta;
 }
@@ -68,19 +71,21 @@ int WeightEvaluator::peekDelta(int v) const {
 bool WeightEvaluator::checkInvariants(std::string* why) const {
   std::vector<int> expect(count_.size(), 0);
   for (const int v : stack_) {
-    for (const int t : sys_->coverage(v)) ++expect[static_cast<std::size_t>(t)];
+    for (const BitEntry& e : sys_->bitRow(v)) {
+      forEachBit(e.word, e.bits, [&expect](std::uint32_t p) { ++expect[p]; });
+    }
   }
   int w = 0;
-  for (std::size_t t = 0; t < expect.size(); ++t) {
-    if (expect[t] != count_[t]) {
+  for (std::uint32_t p = 0; p < expect.size(); ++p) {
+    if (expect[p] != count_[p]) {
       if (why != nullptr) {
-        *why = "tag " + std::to_string(t) + " multiplicity " +
-               std::to_string(count_[t]) + ", recount " +
-               std::to_string(expect[t]);
+        *why = "tag " + std::to_string(sys_->bitTag(p)) + " multiplicity " +
+               std::to_string(count_[p]) + ", recount " +
+               std::to_string(expect[p]);
       }
       return false;
     }
-    if (expect[t] == 1 && !sys_->isRead(static_cast<int>(t))) ++w;
+    if (expect[p] == 1 && !sys_->isRead(sys_->bitTag(p))) ++w;
   }
   if (w != weight_) {
     if (why != nullptr) {
@@ -236,8 +241,11 @@ void LazyGreedyQueue::invalidate(int v) {
   // every other coverer; 1→2 turns −1 into 0 — the transition where deltas
   // *grow*, which is why stale-upper-bound laziness is inadmissible here.
   // Entries for v itself (or dead readers) may be pushed; pickBest drops
-  // them via the eligibility mask.
-  for (const int t : sys_->coverage(v)) {
+  // them via the eligibility mask.  Tags are visited in ascending id: the
+  // heap's lazy-deletion history (and so the work counters) depends on the
+  // order of the adjustments, even though the picks do not.
+  sys_->coveredTags(v, row_);
+  for (const int t : row_) {
     if (sys_->isRead(t)) continue;
     const int c = eval_->multiplicity(t);
     if (c == 1) {

@@ -74,7 +74,7 @@ class WeightEvaluator {
   /// Coverage multiplicity of tag `t` within the maintained set (read tags
   /// included — the lazy-greedy invalidation walk classifies transitions by
   /// this value right after a push).
-  int multiplicity(int t) const { return count_[static_cast<std::size_t>(t)]; }
+  int multiplicity(int t) const { return count_[sys_->tagBit(t)]; }
 
   const System& system() const { return *sys_; }
 
@@ -85,7 +85,7 @@ class WeightEvaluator {
   /// false and, when `why` is non-null, describes the first divergence.
   bool checkInvariants(std::string* why = nullptr) const;
 
-  /// push/pop operations since construction — each walks exactly one CSR
+  /// push/pop operations since construction — each walks exactly one bitmap
   /// coverage row, so this doubles as the evaluator's weight_evals and
   /// csr_rows contribution to a CostBill.  peekDelta is deliberately NOT
   /// counted here: it is called from debug asserts (LazyGreedyQueue) and
@@ -97,8 +97,11 @@ class WeightEvaluator {
   void clear();
 
  private:
+  /// push (by = +1) / pop (by = -1) of reader v's coverage row.
+  int shift(int v, int by);
+
   const System* sys_;
-  std::vector<int> count_;  // per-tag coverage multiplicity within X
+  std::vector<int> count_;  // per-tag multiplicity within X, by tag bit
   std::vector<int> stack_;
   int weight_ = 0;
   std::int64_t ops_ = 0;
@@ -198,6 +201,7 @@ class LazyGreedyQueue {
   const System* sys_ = nullptr;
   std::vector<int> value_;                 // exact peekDelta per candidate
   std::vector<std::pair<int, int>> heap_;  // (key, reader), lazy deletion
+  std::vector<int> row_;                   // invalidate()'s coverage row
   std::int64_t work_units_ = 0;
   std::int64_t pops_ = 0;
   std::int64_t stale_pops_ = 0;

@@ -431,9 +431,8 @@ sched::OneShotResult GrowthDistributedScheduler::schedule(
   programs.reserve(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     std::vector<int> unread_tags;
-    for (const int t : sys.coverage(v)) {
-      if (!sys.isRead(t)) unread_tags.push_back(t);
-    }
+    sys.coveredTags(v, unread_tags);
+    std::erase_if(unread_tags, [&sys](int t) { return sys.isRead(t); });
     const auto nb = graph_->neighbors(v);
     programs.push_back(std::make_unique<GrowthNode>(
         v, sys.singleWeight(v), std::move(unread_tags),

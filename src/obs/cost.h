@@ -42,8 +42,9 @@ namespace rfid::obs {
 ///   weight_evals    — exact weight-engine operations: WeightEvaluator
 ///                     push/pop, reference peekDelta scans, and System
 ///                     referee evaluations (w(X) / wellCoveredTags calls).
-///   csr_rows        — CSR coverage rows walked end-to-end (one unit per
-///                     reader→tags or tag→readers list traversal).
+///   csr_rows        — coverage rows walked end-to-end (one unit per
+///                     reader→tags bitmap row or tag→readers CSR list
+///                     traversal).
 ///   cache_hits      — StandaloneWeightCache syncs served by the read-state
 ///                     diff walk (the cache was reusable).
 ///   cache_misses    — syncs that had to rebuild the cache in full (first

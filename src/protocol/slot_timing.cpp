@@ -27,6 +27,7 @@ SlotTimingResult timeSchedule(core::System& sys,
   SlotTimingResult res;
   sys.resetReads();
   const int bits = epcBits(sys);
+  std::vector<int> cov;
 
   for (const sched::SlotRecord& slot : schedule.schedule) {
     // Recover which tags each active reader serves this slot.
@@ -35,7 +36,8 @@ SlotTimingResult timeSchedule(core::System& sys,
     for (const int v : slot.active) {
       // Tags of v among the served set (exclusive coverage ⇒ unique owner).
       std::vector<std::uint64_t> epcs;
-      for (const int t : sys.coverage(v)) {
+      sys.coveredTags(v, cov);
+      for (const int t : cov) {
         if (std::binary_search(served.begin(), served.end(), t)) {
           epcs.push_back(sys.tag(t).epc);
         }

@@ -41,13 +41,16 @@ std::vector<int> wellCoveredTagsChanneled(const core::System& sys,
   }
   // Coverage multiplicity across ALL active readers (RRc is channel-blind).
   std::vector<int> count(static_cast<std::size_t>(sys.numTags()), 0);
+  std::vector<int> cov;
   for (const int v : readers) {
-    for (const int t : sys.coverage(v)) ++count[static_cast<std::size_t>(t)];
+    sys.coveredTags(v, cov);
+    for (const int t : cov) ++count[static_cast<std::size_t>(t)];
   }
   std::vector<int> served;
   for (std::size_t i = 0; i < readers.size(); ++i) {
     if (victim[i] != 0) continue;
-    for (const int t : sys.coverage(readers[i])) {
+    sys.coveredTags(readers[i], cov);
+    for (const int t : cov) {
       if (count[static_cast<std::size_t>(t)] == 1 && !sys.isRead(t)) served.push_back(t);
     }
   }

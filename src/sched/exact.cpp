@@ -218,9 +218,9 @@ void assembleInstance(const core::System& sys, std::span<const int> candidates,
         p.adj[static_cast<std::size_t>(j)].push_back(i);
       }
     }
-    for (const int t : sys.coverage(candidates[static_cast<std::size_t>(i)])) {
-      if (!sys.isRead(t)) p.coverage[static_cast<std::size_t>(i)].push_back(t);
-    }
+    auto& cov = p.coverage[static_cast<std::size_t>(i)];
+    sys.coveredTags(candidates[static_cast<std::size_t>(i)], cov);
+    std::erase_if(cov, [&sys](int t) { return sys.isRead(t); });
   }
 }
 
@@ -236,8 +236,10 @@ BnbResult maxWeightFeasibleSubset(const core::System& sys,
   BnbScratch& s = scratch != nullptr ? *scratch : local;
   LocalProblem& p = s.problem;
   p.preload.clear();
+  std::vector<int> cov;
   for (const int c : committed) {
-    for (const int t : sys.coverage(c)) {
+    sys.coveredTags(c, cov);
+    for (const int t : cov) {
       if (!sys.isRead(t)) p.preload.push_back(t);
     }
   }

@@ -23,9 +23,11 @@ int countMcsOrphans(const core::System& sys, const fault::FaultPlan& plan,
                     int slot) {
   std::vector<char> jammed_tag(static_cast<std::size_t>(sys.numTags()), 0);
   std::vector<char> victim(static_cast<std::size_t>(sys.numReaders()), 0);
+  std::vector<int> row;
   for (int j = 0; j < sys.numReaders(); ++j) {
     if (!plan.permanentlyDead(j, slot) || !plan.loud(j, slot)) continue;
-    for (const int t : sys.coverage(j)) {
+    sys.coveredTags(j, row);
+    for (const int t : row) {
       jammed_tag[static_cast<std::size_t>(t)] = 1;
     }
     const core::Reader& jr = sys.reader(j);

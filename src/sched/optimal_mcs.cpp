@@ -69,7 +69,8 @@ class MaskCollector {
   }
 
   void push(int v) {
-    for (const int t : sys_.coverage(v)) {
+    sys_.coveredTags(v, cov_);
+    for (const int t : cov_) {
       const int bit = tag_bit_[static_cast<std::size_t>(t)];
       if (bit >= 0) ++count_[static_cast<std::size_t>(bit)];
     }
@@ -77,7 +78,8 @@ class MaskCollector {
   }
 
   void pop(int v) {
-    for (const int t : sys_.coverage(v)) {
+    sys_.coveredTags(v, cov_);
+    for (const int t : cov_) {
       const int bit = tag_bit_[static_cast<std::size_t>(t)];
       if (bit >= 0) --count_[static_cast<std::size_t>(bit)];
     }
@@ -89,6 +91,7 @@ class MaskCollector {
   std::vector<int> useful_;
   std::vector<int> chosen_;
   std::vector<int> count_;
+  std::vector<int> cov_;  // push/pop's coverage row buffer
   std::vector<std::uint32_t> masks_;
 };
 

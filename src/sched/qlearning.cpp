@@ -23,6 +23,7 @@ void QLearningScheduler::train(const core::System& sys) {
   double eps = opt_.epsilon;
   std::vector<int> pick(static_cast<std::size_t>(n), 0);
   std::vector<std::vector<int>> per_slot(static_cast<std::size_t>(S));
+  std::vector<int> cov;
   double episode_reward = 0.0;
 
   for (int e = 0; e < opt_.episodes; ++e) {
@@ -50,7 +51,8 @@ void QLearningScheduler::train(const core::System& sys) {
       const std::vector<int> served = sys.wellCoveredTags(active);
       for (const int v : active) {
         int reward = 0;
-        for (const int t : sys.coverage(v)) {
+        sys.coveredTags(v, cov);
+        for (const int t : cov) {
           if (std::binary_search(served.begin(), served.end(), t)) ++reward;
         }
         double& qv = q_[static_cast<std::size_t>(v)][static_cast<std::size_t>(s)];

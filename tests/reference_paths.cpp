@@ -12,12 +12,14 @@ namespace rfid::test::ref {
 
 namespace {
 
-/// Definition 1 by the CSR walk: on_tag(t) once per well-covered tag.
+/// Definition 1 by the coverers walk: on_tag(t) once per well-covered tag,
+/// ascending.
 template <typename OnTag>
 void forEachWellCovered(const core::System& sys, std::span<const int> X,
                         std::span<const int> jamming, OnTag&& on_tag) {
-  std::vector<int> count(static_cast<std::size_t>(sys.numTags()), 0);
-  std::vector<char> victim(static_cast<std::size_t>(sys.numReaders()), 0);
+  const auto n = static_cast<std::size_t>(sys.numReaders());
+  std::vector<char> role(n, 0);  // 1 = member of X, 2 = jamming radiator
+  std::vector<char> victim(n, 0);
   // Pass 1: RTc victims — v_i inside another radiator v_j's interference
   // disk reads nothing (only R_j matters).  Jamming readers radiate too.
   for (const int vi : X) {
@@ -31,18 +33,23 @@ void forEachWellCovered(const core::System& sys, std::span<const int> X,
       }
     }
   }
-  // Pass 2: RRc multiplicity over every radiator, victim or not.
-  for (const std::span<const int> radiators : {X, jamming}) {
-    for (const int v : radiators) {
-      for (const int t : sys.coverage(v)) ++count[static_cast<std::size_t>(t)];
+  for (const int v : X) role[static_cast<std::size_t>(v)] = 1;
+  for (const int v : jamming) role[static_cast<std::size_t>(v)] = 2;
+  // Pass 2: well-covered iff unread, covered by exactly one radiator (RRc
+  // counts victims too), and that radiator is a non-victim member of X.
+  for (int t = 0; t < sys.numTags(); ++t) {
+    if (sys.isRead(t)) continue;
+    int count = 0;
+    int only = -1;
+    for (const int u : sys.coverers(t)) {
+      if (role[static_cast<std::size_t>(u)] != 0) {
+        ++count;
+        only = u;
+      }
     }
-  }
-  // Pass 3: well-covered iff unread, covered by exactly one radiator, and
-  // that radiator is a non-victim member of X.
-  for (const int v : X) {
-    if (victim[static_cast<std::size_t>(v)] != 0) continue;
-    for (const int t : sys.coverage(v)) {
-      if (count[static_cast<std::size_t>(t)] == 1 && !sys.isRead(t)) on_tag(t);
+    if (count == 1 && role[static_cast<std::size_t>(only)] == 1 &&
+        victim[static_cast<std::size_t>(only)] == 0) {
+      on_tag(t);
     }
   }
 }
@@ -60,26 +67,19 @@ std::vector<int> wellCoveredTags(const core::System& sys,
                                  std::span<const int> jamming) {
   std::vector<int> out;
   forEachWellCovered(sys, X, jamming, [&out](int t) { out.push_back(t); });
-  std::sort(out.begin(), out.end());
   return out;
 }
 
-int singleWeight(const core::System& sys, int v) {
-  int w = 0;
-  for (const int t : sys.coverage(v)) w += sys.isRead(t) ? 0 : 1;
-  return w;
-}
-
-int unreadCoverableCount(const core::System& sys) {
-  std::vector<char> covered(static_cast<std::size_t>(sys.numTags()), 0);
-  for (int v = 0; v < sys.numReaders(); ++v) {
-    for (const int t : sys.coverage(v)) covered[static_cast<std::size_t>(t)] = 1;
-  }
-  int n = 0;
+StandaloneCensus standaloneCensus(const core::System& sys) {
+  StandaloneCensus c;
+  c.weights.assign(static_cast<std::size_t>(sys.numReaders()), 0);
   for (int t = 0; t < sys.numTags(); ++t) {
-    n += covered[static_cast<std::size_t>(t)] != 0 && !sys.isRead(t) ? 1 : 0;
+    const std::span<const int> cov = sys.coverers(t);
+    if (sys.isRead(t) || cov.empty()) continue;
+    ++c.unread_coverable;
+    for (const int u : cov) ++c.weights[static_cast<std::size_t>(u)];
   }
-  return n;
+  return c;
 }
 
 sched::OneShotResult ScanGrowthScheduler::schedule(const core::System& sys) {
@@ -139,14 +139,15 @@ sched::OneShotResult ScanGrowthScheduler::schedule(const core::System& sys) {
 
 sched::OneShotResult RefereeAudit::schedule(const core::System& sys) {
   const int call = calls_++;
+  const StandaloneCensus census = standaloneCensus(sys);
   for (int v = 0; v < sys.numReaders(); ++v) {
-    if (sys.singleWeight(v) != singleWeight(sys, v)) {
+    if (sys.singleWeight(v) != census.weights[static_cast<std::size_t>(v)]) {
       ADD_FAILURE() << "call " << call << ": singleWeight(" << v
-                    << ") disagrees with the CSR referee";
+                    << ") disagrees with the coverers referee";
       break;
     }
   }
-  EXPECT_EQ(sys.unreadCoverableCount(), unreadCoverableCount(sys))
+  EXPECT_EQ(sys.unreadCoverableCount(), census.unread_coverable)
       << "call " << call;
   sched::OneShotResult res = inner_->schedule(sys);
   EXPECT_EQ(sys.weight(res.readers), weight(sys, res.readers))

@@ -1,10 +1,12 @@
 // reference_paths.h — the straightforward implementations the optimized
 // production paths are held bit-identical to (docs/performance.md); linked
-// into the test binaries only.  The CSR referee walks System::coverage()
-// with a per-tag multiplicity count and reads only coverage(), isRead()
-// and the reader accessors.  ScanGrowthScheduler picks Alg2's coordinator
-// by a full rescan of every alive reader's marginal delta.  (The serial
-// PTAS reference is PtasOptions::num_threads = 1.)
+// into the test binaries only.  The coverers referee walks every tag's
+// System::coverers() row and counts the radiators among them; it reads
+// only coverers(), isRead() and the reader accessors — never bitRow() or
+// coveredTags() — so the bitmap kernels are held to an index they do not
+// read.  ScanGrowthScheduler picks Alg2's coordinator by a full rescan of
+// every alive reader's marginal delta.  (The serial PTAS reference is
+// PtasOptions::num_threads = 1.)
 #pragma once
 
 #include <cstdint>
@@ -27,11 +29,14 @@ std::vector<int> wellCoveredTags(const core::System& sys,
                                  std::span<const int> X,
                                  std::span<const int> jamming = {});
 
-/// w({v}): unread tags in v's interrogation disk.
-int singleWeight(const core::System& sys, int v);
-
-/// Unread tags some reader covers; the MCS loop runs until this is zero.
-int unreadCoverableCount(const core::System& sys);
+/// Both standalone questions from one walk over the tags.
+struct StandaloneCensus {
+  /// weights[v] = w({v}): unread tags in v's interrogation disk.
+  std::vector<int> weights;
+  /// Unread tags some reader covers; the MCS loop runs until this is zero.
+  int unread_coverable = 0;
+};
+StandaloneCensus standaloneCensus(const core::System& sys);
 
 /// Same schedule and Stats as sched::GrowthScheduler at every thread count
 /// (it bills no metrics or cost: only the schedule is the reference).
@@ -52,11 +57,11 @@ class ScanGrowthScheduler final : public sched::OneShotScheduler {
 };
 
 /// Decorator that fails the running test unless, at every schedule() call,
-/// the System referee agrees with the CSR referee at the live read-state:
+/// the System referee agrees with the coverers referee at the live read-state:
 /// singleWeight of every reader and unreadCoverableCount before forwarding
 /// to `inner`, weight and wellCoveredTags of the returned set after.  Those
 /// are the referee answers Alg2 and the clean MCS driver consume, so by
-/// induction over slots an audited run commits what a run on the CSR
+/// induction over slots an audited run commits what a run on the coverers
 /// referee would.
 class RefereeAudit final : public sched::OneShotScheduler {
  public:

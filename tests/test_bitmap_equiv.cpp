@@ -1,5 +1,5 @@
 // test_bitmap_equiv.cpp — the blocked-bitmap weight referee against the
-// CSR reference referee (tests/reference_paths.h, docs/performance.md):
+// coverers reference referee (tests/reference_paths.h, docs/performance.md):
 // raw referee calls on random subsets, every schedule() call of one-shot,
 // MCS (with and without faults) and resumed runs under ref::RefereeAudit,
 // and streaming churn.  The SFC permutation under the layout is
@@ -57,10 +57,12 @@ TEST(BitmapEquiv, RefereeMatchesCsrOnRandomSubsets) {
       const std::vector<int> served = sys.wellCoveredTags(x, jam);
       ASSERT_EQ(served, ref::wellCoveredTags(sys, x, jam))
           << "seed " << seed << " round " << round;
+      const ref::StandaloneCensus census = ref::standaloneCensus(sys);
       for (const int v : x) {
-        ASSERT_EQ(sys.singleWeight(v), ref::singleWeight(sys, v));
+        ASSERT_EQ(sys.singleWeight(v),
+                  census.weights[static_cast<std::size_t>(v)]);
       }
-      ASSERT_EQ(sys.unreadCoverableCount(), ref::unreadCoverableCount(sys));
+      ASSERT_EQ(sys.unreadCoverableCount(), census.unread_coverable);
       // Consume some of the served tags so later rounds see a different
       // read-state (the bitmap referee masks read bits word-parallel).
       for (std::size_t i = 0; i < served.size(); i += 3) sys.markRead(served[i]);
@@ -168,14 +170,17 @@ TEST(BitmapEquiv, ChurnedBitmapMatchesRebuildAndCsr) {
         if (!sys.departed(t)) sys.markRead(t);
       }
     }
-    // The incrementally patched bitmap must agree with the CSR referee on
+    // The incrementally patched bitmap must agree with the coverers referee on
     // every single-reader weight and the coverable count, with the oracle's
     // independent geometry rebuild, and with its own from-scratch
     // reconstruction.
+    const ref::StandaloneCensus census = ref::standaloneCensus(sys);
     for (int v = 0; v < sys.numReaders(); ++v) {
-      ASSERT_EQ(sys.singleWeight(v), ref::singleWeight(sys, v)) << "reader " << v;
+      ASSERT_EQ(sys.singleWeight(v),
+                census.weights[static_cast<std::size_t>(v)])
+          << "reader " << v;
     }
-    ASSERT_EQ(sys.unreadCoverableCount(), ref::unreadCoverableCount(sys));
+    ASSERT_EQ(sys.unreadCoverableCount(), census.unread_coverable);
     check::IncrementalIndexOracle oracle;
     EXPECT_EQ(oracle.verify(sys, /*slot=*/0), check::IndexVerdict::kOk)
         << "seed " << seed;
@@ -290,8 +295,15 @@ TEST(BitmapEquiv, SfcPermutationRoundTripsAndMatchesMortonOrder) {
       ASSERT_EQ(sys.rowReader(static_cast<std::uint32_t>(r)), reader_order[r]);
     }
 
-    // Bitmap rows decode back to exactly the CSR coverage lists, and all
-    // public results stay in original-id space (schedules/goldens contract).
+    // Bitmap rows decode back to exactly the transpose of the coverers CSR
+    // (coveredTags is that decoding, sorted), and all public results stay in
+    // original-id space (schedules/goldens contract).
+    std::vector<std::vector<int>> want(static_cast<std::size_t>(n));
+    for (int t = 0; t < m; ++t) {
+      for (const int u : sys.coverers(t)) {
+        want[static_cast<std::size_t>(u)].push_back(t);
+      }
+    }
     for (int v = 0; v < n; ++v) {
       std::vector<int> decoded;
       for (const BitEntry& e : sys.bitRow(v)) {
@@ -302,9 +314,8 @@ TEST(BitmapEquiv, SfcPermutationRoundTripsAndMatchesMortonOrder) {
         }
       }
       std::sort(decoded.begin(), decoded.end());
-      std::vector<int> want(sys.coverage(v).begin(), sys.coverage(v).end());
-      std::sort(want.begin(), want.end());
-      ASSERT_EQ(decoded, want) << "reader " << v;
+      ASSERT_EQ(decoded, want[static_cast<std::size_t>(v)]) << "reader " << v;
+      ASSERT_EQ(test::coveredTags(sys, v), decoded) << "reader " << v;
     }
   }
 }

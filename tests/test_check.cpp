@@ -3,9 +3,10 @@
 // Two directions, both load-bearing: clean runs across every scheduler and
 // execution path must validate with zero violations (no false alarms), and
 // seeded corruptions — a tampered served set, an infeasible proposal, an
-// inflated weight claim, a double-read — must each raise the specific
-// invariant they break (no blindness).  tools/mutation_smoke.sh repeats the
-// blindness check end-to-end against mutated production binaries.
+// inflated weight claim, a double-read, a flipped bitmap bit — must each
+// raise the specific invariant they break (no blindness).
+// tools/mutation_smoke.sh repeats the blindness check end-to-end against
+// mutated production binaries.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -305,6 +306,17 @@ TEST(ScheduleValidator, DriverAbortsRunOnViolation) {
   EXPECT_EQ(res.slots, 0);
   EXPECT_FALSE(val.ok());
   EXPECT_TRUE(hasIssue(val, "slot.claimed-weight-mismatch")) << issueList(val);
+}
+
+TEST(ScheduleValidator, BeginAuditFlagsCorruptBitmapRow) {
+  // The referee sweeps the bitmap rows, so the begin audit must read them:
+  // one flipped arena bit, with the coverers CSR intact, fails the run
+  // before a single slot.
+  core::System sys = test::smallRandomSystem(3, 60, 1500, 110.0);
+  sys.testOnlyCorruptBitmap();
+  ScheduleValidator val;
+  EXPECT_FALSE(val.beginRun(sys));
+  EXPECT_TRUE(hasIssue(val, "begin.coverage-row-mismatch")) << issueList(val);
 }
 
 // ---- the WeightEvaluator self-audit ----

@@ -38,11 +38,11 @@ TEST(Reader, IndependenceDefinition2) {
 TEST(System, CoverageBothWays) {
   const System sys = figure2System();
   // Reader A (index 0) covers Tag1 and Tag2.
-  EXPECT_EQ(test::toVec(sys.coverage(0)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(test::coveredTags(sys, 0), (std::vector<int>{0, 1}));
   // Reader B covers Tag2, Tag3, Tag5.
-  EXPECT_EQ(test::toVec(sys.coverage(1)), (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(test::coveredTags(sys, 1), (std::vector<int>{1, 2, 4}));
   // Reader C covers Tag3, Tag4.
-  EXPECT_EQ(test::toVec(sys.coverage(2)), (std::vector<int>{2, 3}));
+  EXPECT_EQ(test::coveredTags(sys, 2), (std::vector<int>{2, 3}));
   // Inverse maps.
   EXPECT_EQ(test::toVec(sys.coverers(1)), (std::vector<int>{0, 1}));
   EXPECT_EQ(test::toVec(sys.coverers(4)), (std::vector<int>{1}));

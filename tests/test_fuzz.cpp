@@ -30,7 +30,8 @@ void checkSlotInvariants(const core::System& sys, std::span<const int> active,
     int coverers = 0;
     int owner = -1;
     for (const int v : active) {
-      if (std::binary_search(sys.coverage(v).begin(), sys.coverage(v).end(), t)) {
+      const std::vector<int> cov = test::coveredTags(sys, v);
+      if (std::binary_search(cov.begin(), cov.end(), t)) {
         ++coverers;
         owner = v;
       }

@@ -37,6 +37,13 @@ inline std::vector<int> toVec(std::span<const int> s) {
   return {s.begin(), s.end()};
 }
 
+/// System::coveredTags(v) as a value, for gtest comparisons.
+inline std::vector<int> coveredTags(const core::System& sys, int v) {
+  std::vector<int> out;
+  sys.coveredTags(v, out);
+  return out;
+}
+
 /// A reader at (x, y) with interference radius R and interrogation radius
 /// gamma (defaults to R/2).
 inline core::Reader makeReader(double x, double y, double R,

@@ -92,13 +92,14 @@ TEST(MoreMcs, ScheduleRecordsActiveSets) {
 TEST(MoreWeight, SingleWeightMatchesCoverageMinusRead) {
   core::System sys = test::smallRandomSystem(5, 12, 80);
   for (int v = 0; v < sys.numReaders(); ++v) {
-    EXPECT_EQ(sys.singleWeight(v), static_cast<int>(sys.coverage(v).size()));
+    EXPECT_EQ(sys.singleWeight(v),
+              static_cast<int>(test::coveredTags(sys, v).size()));
   }
   // Mark every other tag and re-check.
   for (int t = 0; t < sys.numTags(); t += 2) sys.markRead(t);
   for (int v = 0; v < sys.numReaders(); ++v) {
     int expect = 0;
-    for (const int t : sys.coverage(v)) expect += !sys.isRead(t);
+    for (const int t : test::coveredTags(sys, v)) expect += !sys.isRead(t);
     EXPECT_EQ(sys.singleWeight(v), expect);
   }
 }

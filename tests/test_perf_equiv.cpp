@@ -1,7 +1,7 @@
 // test_perf_equiv.cpp — the hot-path overhaul must not move a single
 // scheduled set (docs/performance.md).
 //
-// Every optimized selection path (CSR + inverted index, lazy-greedy queue,
+// Every optimized selection path (bitmap + inverted index, lazy-greedy queue,
 // component / shift parallelism) is compared against its reference on the
 // same instance — the full-scan Alg2 (tests/reference_paths.h), the scan
 // GHC, and the PTAS shift loop at one thread: one-shot results, MCS slot

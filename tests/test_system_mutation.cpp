@@ -1,9 +1,10 @@
 // Structural churn tests (docs/streaming.md): the incremental mutation API
-// (System::addTag / removeTag / moveTag) must leave the dual CSR coverage
-// index exactly what a from-scratch build over the same population would
-// produce, the dirty-reader log must carry scheduler caches through churn
-// without a full rebuild, and the IncrementalIndexOracle must detect (and
-// heal) a corrupted incremental path.
+// (System::addTag / removeTag / moveTag) must leave the coverage index (the
+// coverers CSR and the bitmap rows) exactly what a from-scratch build over
+// the same population would produce, the dirty-reader log must carry
+// scheduler caches through churn without a full rebuild, and the
+// IncrementalIndexOracle must detect (and heal) a corrupted incremental
+// path.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -32,7 +33,7 @@ std::vector<int> naiveCoverers(const System& sys, geom::Vec2 pos) {
   return out;
 }
 
-/// Every CSR row in both directions against raw geometry.
+/// Every coverers row and every decoded bitmap row against raw geometry.
 void expectIndexExact(const System& sys) {
   for (int t = 0; t < sys.numTags(); ++t) {
     if (sys.departed(t)) {
@@ -50,7 +51,7 @@ void expectIndexExact(const System& sys) {
       const double g = r.interrogation_radius;
       if (geom::dist2(sys.tag(t).pos, r.pos) <= g * g) expected.push_back(t);
     }
-    EXPECT_EQ(test::toVec(sys.coverage(v)), expected) << "reader " << v;
+    EXPECT_EQ(test::coveredTags(sys, v), expected) << "reader " << v;
   }
 }
 

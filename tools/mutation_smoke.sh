@@ -33,9 +33,10 @@ mkdir -p "$scratch"
 #    filter, since feasible schedules on the generated workload rarely
 #    overlap interrogation zones.
 gen_args="--algo ghc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check"
-# A churn run for the streaming index oracle: departures and moves splice
-# the dual CSR index in place, and --oracle-every 1 verifies it against a
-# from-scratch geometry rebuild after every slot.
+# A churn run for the streaming index oracle: arrivals, departures and
+# moves splice the coverers index and the bitmap rows in place, and
+# --oracle-every 1 verifies both against a from-scratch geometry rebuild
+# after every slot.
 stream_args="--algo alg2 --mode stream --readers 25 --tags 300 --side 70 --seed 11 \
   --arrival-rate 4 --depart-rate 2 --move-rate 1 --stream-slots 30 \
   --oracle-every 1 --check"
@@ -72,6 +73,10 @@ mutants=(
   # referees drift apart, which the oracle's independently rebuilt bitmap
   # fingerprint must flag.
   "bitmap-desync-insert|src/core/system.cpp|bit_arena_\[--write\] = BitEntry{w, 0, mask};|bit_arena_[--write] = BitEntry{w, 0, 0};"
+  # Row decode: coveredTags skips the lowest tag of every bitmap word, so
+  # readers' decoded coverage loses tags the geometry says they cover; the
+  # gen run's begin audit (coverage rows through coveredTags) exits 5.
+  "row-decode-drop-bit|src/core/system.cpp|std::uint64_t b = e.bits;|std::uint64_t b = e.bits \\& (e.bits - 1);"
   # Gen2 session amnesia: acked tags never set their inventoried flag, so an
   # S2 tag covered in a later macro-slot replies and is re-identified inside
   # its persistence window — the link replay's persistence check exits 5.

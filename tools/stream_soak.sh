@@ -3,8 +3,8 @@
 #
 #   1. generate one bursty churn trace (10x MMPP bursts) and run the
 #      streaming driver over it journaled and under the paranoid index
-#      oracle — every slot's incremental CSR index is verified against a
-#      from-scratch geometry rebuild; any divergence exits 5;
+#      oracle — every slot's incremental coverage index is verified against
+#      a from-scratch geometry rebuild; any divergence exits 5;
 #   2. run the same trace again and SIGKILL the process mid-stream;
 #   3. resume from the journal and require stdout byte-identical to the
 #      uninterrupted run — the churn replay, the shed decisions, and the
