@@ -8,9 +8,9 @@
 // burn air-time, MPR(k≥2) resolves k-occupancy collisions in one
 // micro-slot and must shorten the schedule versus baseline Gen2.
 //
-// Machine-readable `gen2point` lines feed tools/bench_record.sh →
-// BENCH_PR10.json, gated by tools/bench_compare.py (deterministic
-// counters; double_id is zero-stays-zero).
+// Machine-readable `gen2point` lines become the gen2/<variant>/<seed>
+// points of BENCH_HISTORY.json; tools/bench_compare.py gates every field
+// by exact match.
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                 << lt.macro_slots << std::setw(7) << lt.tags_read
                 << std::setw(8) << lt.session_skips
                 << (lt.check_ok ? "" : "  CHECK-FAIL") << '\n';
-      // Machine-readable point for bench_record.sh / bench_compare.py.
+      // Machine-readable point for tools/bench_compare.py.
       std::cout << "gen2point variant=" << v.name << " seed=" << seed
                 << " air_us=" << lt.air_us << " serial_us=" << lt.air_us_serial
                 << " micro=" << lt.micro_slots << " macro=" << lt.macro_slots

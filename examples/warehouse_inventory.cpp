@@ -42,10 +42,14 @@ int main() {
   struct Outcome {
     std::string name;
     sched::McsResult mcs;
-    protocol::SlotTimingResult aloha;
-    protocol::SlotTimingResult tree;
+    protocol::LinkTimingResult aloha;
+    protocol::LinkTimingResult tree;
   };
   std::vector<Outcome> outcomes;
+  protocol::LinkOptions aloha_opt;
+  aloha_opt.link = protocol::Link::kAloha;
+  protocol::LinkOptions tree_opt;
+  tree_opt.link = protocol::Link::kTreeWalk;
 
   {
     sched::PtasScheduler alg1;
@@ -53,11 +57,10 @@ int main() {
     Outcome o;
     o.name = alg1.name();
     o.mcs = sched::runCoveringSchedule(sys, alg1);
-    o.aloha = protocol::timeSchedule(sys, o.mcs, protocol::Arbitration::kAloha,
-                                     workload::Rng(1));
-    o.tree = protocol::timeSchedule(sys, o.mcs,
-                                    protocol::Arbitration::kTreeWalk,
-                                    workload::Rng(1));
+    o.aloha =
+        protocol::timeScheduleLink(sys, o.mcs, aloha_opt, workload::Rng(1));
+    o.tree =
+        protocol::timeScheduleLink(sys, o.mcs, tree_opt, workload::Rng(1));
     outcomes.push_back(std::move(o));
   }
   {
@@ -66,11 +69,10 @@ int main() {
     Outcome o;
     o.name = ghc.name();
     o.mcs = sched::runCoveringSchedule(sys, ghc);
-    o.aloha = protocol::timeSchedule(sys, o.mcs, protocol::Arbitration::kAloha,
-                                     workload::Rng(1));
-    o.tree = protocol::timeSchedule(sys, o.mcs,
-                                    protocol::Arbitration::kTreeWalk,
-                                    workload::Rng(1));
+    o.aloha =
+        protocol::timeScheduleLink(sys, o.mcs, aloha_opt, workload::Rng(1));
+    o.tree =
+        protocol::timeScheduleLink(sys, o.mcs, tree_opt, workload::Rng(1));
     outcomes.push_back(std::move(o));
   }
 

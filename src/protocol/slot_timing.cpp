@@ -21,47 +21,6 @@ int epcBits(const core::System& sys) {
 
 }  // namespace
 
-SlotTimingResult timeSchedule(core::System& sys,
-                              const sched::McsResult& schedule,
-                              Arbitration arbitration, workload::Rng rng) {
-  SlotTimingResult res;
-  sys.resetReads();
-  const int bits = epcBits(sys);
-  std::vector<int> cov;
-
-  for (const sched::SlotRecord& slot : schedule.schedule) {
-    // Recover which tags each active reader serves this slot.
-    const std::vector<int> served = sys.wellCoveredTags(slot.active);
-    std::int64_t slot_max = 0;
-    for (const int v : slot.active) {
-      // Tags of v among the served set (exclusive coverage ⇒ unique owner).
-      std::vector<std::uint64_t> epcs;
-      sys.coveredTags(v, cov);
-      for (const int t : cov) {
-        if (std::binary_search(served.begin(), served.end(), t)) {
-          epcs.push_back(sys.tag(t).epc);
-        }
-      }
-      if (epcs.empty()) continue;
-      std::int64_t cost = 0;
-      if (arbitration == Arbitration::kAloha) {
-        workload::Rng reader_rng = rng.split("aloha", static_cast<std::uint64_t>(
-            res.macro_slots * 1000 + v));
-        cost = runAloha(static_cast<int>(epcs.size()), reader_rng).micro_slots;
-      } else {
-        cost = runTreeWalk(epcs, bits).probes;
-      }
-      slot_max = std::max(slot_max, cost);
-      res.micro_slots_serial += cost;
-    }
-    res.micro_slots += slot_max;
-    ++res.macro_slots;
-    res.tags_read += static_cast<int>(served.size());
-    sys.markRead(served);
-  }
-  return res;
-}
-
 const char* linkName(Link link) {
   switch (link) {
     case Link::kUnit:
@@ -215,7 +174,7 @@ LinkTimingResult timeScheduleGen2(core::System& sys,
     ++res.macro_slots;
     ++slot_idx;
   }
-  // Leave `sys` fully re-marked, matching the timeSchedule contract.
+  // Leave `sys` fully re-marked, as the unit and aloha/tree replays do.
   for (std::size_t t = 0; t < n; ++t) {
     if (mcs_read[t] != 0) sys.markRead(static_cast<int>(t));
   }
@@ -261,15 +220,42 @@ LinkTimingResult timeScheduleLink(core::System& sys,
     }
     return res;
   }
-  const Arbitration arb = opt.link == Link::kAloha ? Arbitration::kAloha
-                                                   : Arbitration::kTreeWalk;
-  const SlotTimingResult st = timeSchedule(sys, schedule, arb, rng);
-  res.macro_slots = st.macro_slots;
-  res.micro_slots = st.micro_slots;
-  res.micro_slots_serial = st.micro_slots_serial;
-  res.tags_read = st.tags_read;
-  res.air_us = st.micro_slots * opt.t_micro_us;
-  res.air_us_serial = st.micro_slots_serial * opt.t_micro_us;
+  // Framed ALOHA / tree-walking: each slot costs its slowest reader's
+  // arbitration over the fresh tags it serves (readers run in parallel).
+  sys.resetReads();
+  const int bits = epcBits(sys);
+  std::vector<int> cov;
+  for (const sched::SlotRecord& slot : schedule.schedule) {
+    const std::vector<int> served = sys.wellCoveredTags(slot.active);
+    std::int64_t slot_max = 0;
+    for (const int v : slot.active) {
+      // Tags of v among the served set (exclusive coverage ⇒ unique owner).
+      std::vector<std::uint64_t> epcs;
+      sys.coveredTags(v, cov);
+      for (const int t : cov) {
+        if (std::binary_search(served.begin(), served.end(), t)) {
+          epcs.push_back(sys.tag(t).epc);
+        }
+      }
+      if (epcs.empty()) continue;
+      std::int64_t cost = 0;
+      if (opt.link == Link::kAloha) {
+        workload::Rng reader_rng = rng.split(
+            "aloha", static_cast<std::uint64_t>(res.macro_slots * 1000 + v));
+        cost = runAloha(static_cast<int>(epcs.size()), reader_rng).micro_slots;
+      } else {
+        cost = runTreeWalk(epcs, bits).probes;
+      }
+      slot_max = std::max(slot_max, cost);
+      res.micro_slots_serial += cost;
+    }
+    res.micro_slots += slot_max;
+    ++res.macro_slots;
+    res.tags_read += static_cast<int>(served.size());
+    sys.markRead(served);
+  }
+  res.air_us = res.micro_slots * opt.t_micro_us;
+  res.air_us_serial = res.micro_slots_serial * opt.t_micro_us;
   return res;
 }
 

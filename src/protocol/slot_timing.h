@@ -21,31 +21,14 @@
 
 namespace rfid::protocol {
 
-enum class Arbitration { kAloha, kTreeWalk };
-
-struct SlotTimingResult {
-  int macro_slots = 0;
-  /// Σ over slots of max-over-active-readers arbitration cost.
-  std::int64_t micro_slots = 0;
-  /// Σ over slots and readers (total energy/air-time if slots were serial).
-  std::int64_t micro_slots_serial = 0;
-  int tags_read = 0;
-};
-
-/// Replays `schedule` on a fresh copy of the read-state of `sys` (the
-/// system is reset and re-marked internally, restoring the caller's state
-/// afterwards is the caller's business — pass a scratch copy).
-SlotTimingResult timeSchedule(core::System& sys,
-                              const sched::McsResult& schedule,
-                              Arbitration arbitration, workload::Rng rng);
-
 // ---------------------------------------------------------------------------
 // Link-layer co-simulation (ROADMAP 4): replay a covering schedule under a
 // selectable link model and convert it into physical air-time.
 //
 // `kUnit` is the paper's unit-cost slot (one micro-slot per macro-slot) and
 // the CLI default — it must not perturb anything.  `kAloha`/`kTreeWalk`
-// delegate to `timeSchedule` above (fresh tags only, micro-slot currency
+// charge each macro-slot the framed-ALOHA slots / tree-walking probes of its
+// slowest reader over the fresh tags it serves (micro-slot currency
 // converted at `t_micro_us`).  `kGen2` descends further: each macro-slot's
 // duration is the max over active readers of their Gen2 arbitration cost on
 // their *physical* well-covered population — including tags the schedule
@@ -105,9 +88,9 @@ struct LinkTimingResult {
 };
 
 /// Replays `schedule` under `opt.link`.  Resets the read-state of `sys` and
-/// leaves it fully re-marked (same contract as timeSchedule — pass a scratch
-/// copy if the caller still needs its read-state).  Deterministic in
-/// (schedule, deployment, rng seed); independent of scheduler thread count.
+/// leaves it fully re-marked (pass a scratch copy if the caller still needs
+/// its read-state).  Deterministic in (schedule, deployment, rng seed);
+/// independent of scheduler thread count.
 /// Fault-injected runs record *proposed* active sets, which a replay cannot
 /// re-execute faithfully — callers gate on a fault-free run (the CLI rejects
 /// `--link` + `--fault-*`).

@@ -123,10 +123,14 @@ TEST(SlotTiming, ChargesSlowestReaderPerSlot) {
   const sched::McsResult schedule = sched::runCoveringSchedule(sys, ghc);
   ASSERT_TRUE(schedule.completed);
 
-  const SlotTimingResult aloha =
-      timeSchedule(sys, schedule, Arbitration::kAloha, workload::Rng(5));
-  const SlotTimingResult tree =
-      timeSchedule(sys, schedule, Arbitration::kTreeWalk, workload::Rng(5));
+  LinkOptions aloha_opt;
+  aloha_opt.link = Link::kAloha;
+  LinkOptions tree_opt;
+  tree_opt.link = Link::kTreeWalk;
+  const LinkTimingResult aloha =
+      timeScheduleLink(sys, schedule, aloha_opt, workload::Rng(5));
+  const LinkTimingResult tree =
+      timeScheduleLink(sys, schedule, tree_opt, workload::Rng(5));
 
   EXPECT_EQ(aloha.macro_slots, schedule.slots);
   EXPECT_EQ(tree.macro_slots, schedule.slots);
@@ -142,8 +146,10 @@ TEST(SlotTiming, ChargesSlowestReaderPerSlot) {
 TEST(SlotTiming, EmptyScheduleCostsNothing) {
   core::System sys = test::smallRandomSystem(22, 5, 20);
   const sched::McsResult empty;
-  const SlotTimingResult res =
-      timeSchedule(sys, empty, Arbitration::kTreeWalk, workload::Rng(1));
+  LinkOptions opt;
+  opt.link = Link::kTreeWalk;
+  const LinkTimingResult res =
+      timeScheduleLink(sys, empty, opt, workload::Rng(1));
   EXPECT_EQ(res.macro_slots, 0);
   EXPECT_EQ(res.micro_slots, 0);
   EXPECT_EQ(res.tags_read, 0);

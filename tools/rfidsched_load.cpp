@@ -7,9 +7,9 @@
 //   closed  Closed-loop generator: --concurrency clients each keep exactly
 //           one request outstanding against an *in-process* Service until
 //           --requests have been submitted.  Deterministic by construction
-//           (no queue overflow at concurrency <= queue), so its svc.*
-//           counters are the bench_compare gate for PR7.  Prints a JSON
-//           summary to stdout.
+//           (no queue overflow at concurrency <= queue): its svc.* counters
+//           depend only on the workload and seeds.  Prints a JSON summary
+//           to stdout.
 //   open    Open-loop Poisson generator: arrivals at --rate req/s
 //           (exponential gaps, seeded) for --duration-s seconds, regardless
 //           of completions — the mode that drives the daemon past
@@ -20,9 +20,10 @@
 //           --pace-ms paces every request's slots (slow but live).
 //   bench   Saturation sweep: measures closed-loop capacity, then runs
 //           open-loop points at 0.5x / 1x / 2x that rate and reports
-//           req/s vs p50/p99 latency and shed rate — the BENCH_PR7.json
-//           "service_saturation" section, with the closed-loop counters as
-//           the deterministic "service_closed_loop" section.
+//           req/s vs p50/p99 latency and shed rate.  tools/bench_compare.py
+//           records the closed loop as the deterministic service/closed
+//           point of BENCH_HISTORY.json and the sweep as its advisory
+//           service/saturation/x* points.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
