@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "distributed/growth_distributed.h"
 #include "graph/interference_graph.h"
+#include "protocol/slot_timing.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
@@ -86,13 +87,16 @@ double peakRssMib() {
 
 /// Large-scale sweep (--large): full alg2 MCS up to n=100k readers / m=1M
 /// tags, one run per point (all three take 1.2-1.6 s of wall on a 4-core
-/// Xeon).  Emits one machine-parseable line per point — wall, peak RSS,
-/// and the referee/selection work counters — which tools/bench_compare.py
-/// records as the large/n<n> points of BENCH_HISTORY.json and gates.
-void largeSection() {
+/// Xeon), then a Gen2 replay of the schedule (protocol::timeScheduleLink).
+/// Emits one machine-parseable line per point — MCS and replay wall, peak
+/// RSS, the referee/selection work counters, and the replay's frames and
+/// air-time — which tools/bench_compare.py records as the large/n<n>
+/// points of BENCH_HISTORY.json and gates.  Returns false if a replay
+/// fails its self-checks.
+bool largeSection() {
   using namespace rfid;
   std::cout << "\n# Large-scale MCS (alg2; one seed per point; "
-               "wall includes scheduling only)\n";
+               "wall includes scheduling only, link the Gen2 replay)\n";
   struct Point {
     int n;
     int tags_per_reader;
@@ -122,6 +126,19 @@ void largeSection() {
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
+
+    protocol::LinkOptions lo;
+    lo.link = protocol::Link::kGen2;
+    const auto tl0 = std::chrono::steady_clock::now();
+    const protocol::LinkTimingResult lt = protocol::timeScheduleLink(
+        sys, res, lo, workload::Rng(99000).split("link"));
+    const double link_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - tl0)
+                               .count();
+    if (!lt.check_ok) {
+      std::cerr << "large n=" << pt.n << ": " << lt.check_detail << '\n';
+      return false;
+    }
     std::cout << "large n=" << pt.n << " m=" << sc.deploy.num_tags
               << " algo=alg2 slots=" << res.slots << " tags=" << res.tags_read
               << " completed=" << (res.completed ? 1 : 0) << std::fixed
@@ -129,8 +146,10 @@ void largeSection() {
               << " wall_ms=" << wall_ms << " rss_mib=" << peakRssMib()
               << " weight_evals=" << reg.counter("core.weight_evals").value()
               << " work_units=" << reg.counter("sched.weight_evals").value()
-              << '\n';
+              << " link_ms=" << link_ms << " gen2_frames=" << lt.frames
+              << " gen2_air_us=" << lt.air_us << '\n';
   }
+  return true;
 }
 
 }  // namespace
@@ -138,8 +157,7 @@ void largeSection() {
 int main(int argc, char** argv) {
   using namespace rfid;
   if (argc > 1 && std::strcmp(argv[1], "--large") == 0) {
-    largeSection();
-    return 0;
+    return largeSection() ? 0 : 1;
   }
   const int seeds = argc > 1 ? std::max(1, std::atoi(argv[1])) : 5;
 

@@ -36,10 +36,16 @@
 
 namespace rfid::ckpt {
 
+/// The FNV-1a starting value used here.  It is not the published 64-bit
+/// offset basis (14695981039346656037, one digit longer), but it stays:
+/// every journal header and snapshot carries hashes made with it, and a
+/// new basis would refuse to resume all of them.
+inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ull;
+
 /// FNV-1a over bytes; used for the deployment / fault-plan identity hashes
-/// recorded in the journal header.
-std::uint64_t fnv1a(std::string_view bytes,
-                    std::uint64_t h = 1469598103934665603ull);
+/// recorded in the journal header.  Chaining over chunks, fnv1a(b, fnv1a(a)),
+/// equals hashing their concatenation.
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnv1aBasis);
 
 /// CRC32 (IEEE, reflected) — the per-record checksum.
 std::uint32_t crc32(std::string_view bytes);

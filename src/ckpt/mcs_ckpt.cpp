@@ -9,9 +9,12 @@
 namespace rfid::ckpt {
 
 std::uint64_t deploymentHash(const core::System& sys) {
-  std::ostringstream os;
-  workload::saveDeployment(os, sys);
-  return fnv1a(os.str());
+  // FNV-1a chains over chunks, so hashing the serializer's chunks as they
+  // come equals hashing the whole text without ever holding it.
+  std::uint64_t h = kFnv1aBasis;
+  workload::serializeDeployment(
+      sys, [&h](std::string_view chunk) { h = fnv1a(chunk, h); });
+  return h;
 }
 
 namespace {

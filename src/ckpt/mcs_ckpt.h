@@ -32,7 +32,8 @@
 namespace rfid::ckpt {
 
 /// FNV-1a over the canonical CSV serialization (workload/saveDeployment):
-/// the deployment identity recorded in journal headers and snapshots.
+/// the deployment identity recorded in journal headers and snapshots.  The
+/// text is streamed through the hash chunk by chunk, never built whole.
 std::uint64_t deploymentHash(const core::System& sys);
 
 struct CheckpointSetup {

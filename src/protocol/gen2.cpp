@@ -83,7 +83,6 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
     return res;
   }
 
-  std::vector<char> acked(session.size(), 0);
   const int k = std::max(1, opt.mpr_k);
   double qfp = clampQ(opt.q0);
   int q = clampQ(opt.q0);
@@ -126,10 +125,6 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
           res.mpr_resolved += static_cast<std::int64_t>(b.size());
         }
         for (const int t : b) {
-          if (acked[static_cast<std::size_t>(t)] != 0) {
-            res.double_identified = true;
-          }
-          acked[static_cast<std::size_t>(t)] = 1;
           session.onAck(t, macro_slot, target);
           res.identified.push_back(t);
         }
@@ -182,6 +177,13 @@ Gen2RoundResult runGen2Round(std::span<const int> population,
     }
   }
   res.completed = pending.empty();
+  // Self-check: no tag is acknowledged twice in one round.  Sorting the
+  // round's own identifications keeps the round O(population); an array
+  // over the whole deployment would cost O(m) per round.
+  std::vector<int> ids = res.identified;
+  std::sort(ids.begin(), ids.end());
+  res.double_identified =
+      std::adjacent_find(ids.begin(), ids.end()) != ids.end();
 
   if (opt.metrics != nullptr) {
     opt.metrics->counter("protocol.gen2.frames").add(res.frames);

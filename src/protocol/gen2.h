@@ -134,8 +134,8 @@ struct Gen2RoundResult {
   /// False iff a safety cap fired with repliers still unresolved.
   bool completed = false;
   /// Internal self-check: a tag was acknowledged twice in this round.
-  /// Always false unless the simulator itself is buggy — the mutation
-  /// harness and the `--check` oracle key on it.
+  /// Always false unless the simulator is buggy or the population lists a
+  /// tag twice — the mutation harness and the `--check` oracle key on it.
   bool double_identified = false;
 };
 

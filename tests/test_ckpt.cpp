@@ -12,16 +12,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/atomic_file.h"
 #include "ckpt/budget.h"
 #include "ckpt/journal.h"
+#include "ckpt/mcs_ckpt.h"
 #include "graph/interference_graph.h"
 #include "sched/growth.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"
+#include "workload/io.h"
 
 namespace rfid::ckpt {
 namespace {
@@ -99,6 +102,62 @@ TEST(CkptHash, Fnv1aBasics) {
   EXPECT_NE(fnv1a("reader,0"), fnv1a("reader,1"));
   // Chaining is equivalent to hashing the concatenation.
   EXPECT_EQ(fnv1a("cd", fnv1a("ab")), fnv1a("abcd"));
+}
+
+// The deployment hash as it was first computed: FNV-1a over the CSV text an
+// ostream prints at precision 17.  Kept test-side, so the check below does
+// not lean on the production serializer it guards.
+std::string streamSerialization(const core::System& sys) {
+  std::ostringstream os;
+  os << "# rfidsched deployment v1\n";
+  os.precision(17);
+  for (const core::Reader& r : sys.readers()) {
+    os << "reader," << r.id << ',' << r.pos.x << ',' << r.pos.y << ','
+       << r.interference_radius << ',' << r.interrogation_radius << '\n';
+  }
+  for (const core::Tag& t : sys.tags()) {
+    os << "tag," << t.id << ',' << t.pos.x << ',' << t.pos.y << ',' << t.epc
+       << '\n';
+  }
+  return os.str();
+}
+
+void expectCanonicalSerialization(const core::System& sys,
+                                  const std::string& label) {
+  const std::string want = streamSerialization(sys);
+  std::ostringstream saved;
+  workload::saveDeployment(saved, sys);
+  EXPECT_EQ(saved.str(), want) << label;
+  EXPECT_EQ(deploymentHash(sys), fnv1a(want)) << label;
+}
+
+TEST(CkptHash, DeploymentHashMatchesStreamSerialization) {
+  for (const std::uint64_t seed : test::seedRange(1, test::iterBudget(8))) {
+    expectCanonicalSerialization(test::smallRandomSystem(seed, 12, 90),
+                                 "seed " + std::to_string(seed));
+  }
+  // Edge values: signed zero, integral doubles, a tiny normal, negative
+  // coordinates, long mantissas and the widest EPC.
+  std::vector<core::Reader> readers = {
+      {0, {-0.0, 0.0}, 5.0, 3.0},
+      {1, {-12.25, -1e-300}, 40.0, 0.1},
+      {2, {1.0 / 3.0, 123.00000000000001}, 7.000000000000001, 7.0}};
+  std::vector<core::Tag> tags = {
+      {0, {1e-300, -0.0}, 0},
+      {1, {-3.0, 98.765432109876543}, 18446744073709551615ull},
+      {2, {0.1, -2.5e-8}, 9223372036854775808ull}};
+  expectCanonicalSerialization(
+      core::System(std::move(readers), std::move(tags)), "edge values");
+}
+
+TEST(CkptHash, GoldenDeploymentHashIsPinned) {
+  // Journals record this hash in their header; a serializer that prints a
+  // single byte differently would refuse to resume every one of them.
+  std::string err;
+  const auto sys = workload::loadDeploymentFile(
+      std::string(RFIDSCHED_GOLDEN_DIR) + "/deploy.csv", &err);
+  ASSERT_TRUE(sys.has_value()) << err;
+  EXPECT_EQ(deploymentHash(*sys), 0x4810445d9d2717f3ull);
 }
 
 // ---- record codecs ----

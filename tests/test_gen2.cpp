@@ -197,6 +197,26 @@ TEST(Gen2, MprShortensRounds) {
   EXPECT_LT(mpr_us, base_us);
 }
 
+// --- Double-ack self-check ----------------------------------------------
+
+// The round's self-check must be able to fire: a population that lists tag
+// 3 twice gets it acknowledged twice, whether the two replies resolve in
+// separate micro-slots (k = 1) or together in one MPR slot (k = 2).
+TEST(Gen2Round, DuplicatePopulationEntryIsDoubleIdentified) {
+  for (const int k : {1, 2}) {
+    Gen2Options opt;
+    opt.mpr_k = k;
+    Gen2SessionState st;
+    workload::Rng rng(5);
+    const std::vector<int> pop = {3, 3};
+    const Gen2RoundResult r =
+        runGen2Round(pop, st, 0, Gen2Target::kA, rng, opt);
+    EXPECT_TRUE(r.completed) << "mpr_k=" << k;
+    EXPECT_EQ(r.identified, pop) << "mpr_k=" << k;
+    EXPECT_TRUE(r.double_identified) << "mpr_k=" << k;
+  }
+}
+
 // --- Aloha frame re-size fix --------------------------------------------
 
 // Degenerate caller bounds must not produce F = 0 frames.  Pre-fix,

@@ -2,14 +2,18 @@
 // parsing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "test_helpers.h"
 #include "workload/io.h"
+#include "workload/rng.h"
 
 namespace rfid::workload {
 namespace {
@@ -179,6 +183,101 @@ TEST(Io, NonFiniteFieldsRejectedWithNamedLine) {
     EXPECT_FALSE(loadDeployment(ss, &err).has_value());
     EXPECT_NE(err.find("line 2"), std::string::npos) << err;
     EXPECT_NE(err.find("tag position"), std::string::npos) << err;
+  }
+}
+
+TEST(Io, NumericFieldFormsMatchStod) {
+  // The loader accepts exactly the numeric forms std::stod / std::stoi take
+  // with the whole field consumed, and nothing that underflows, overflows or
+  // is not finite.  Pinned so a faster parser cannot widen or narrow them.
+  const auto load = [](const std::string& text, std::string* err) {
+    std::stringstream ss(text);
+    return loadDeployment(ss, err);
+  };
+  const std::string reader = "reader,0,1.0,2.0,5.0,3.0\n";
+  const auto tagAt = [&](const std::string& x) {
+    return reader + "tag,0," + x + ",2.0,7\n";
+  };
+  const auto tagWithId = [&](const std::string& id) {
+    return reader + "tag," + id + ",1.0,2.0,7\n";
+  };
+
+  const std::pair<const char*, double> doubles[] = {
+      {"1.5", 1.5},   {" 1.5", 1.5}, {"+1.5", 1.5}, {"0x1p3", 8.0},
+      {".5", 0.5},    {"5.", 5.0},   {"1E5", 1e5},  {"-0", -0.0},
+      {"00012.5", 12.5}};
+  for (const auto& [field, want] : doubles) {
+    std::string err;
+    const auto sys = load(tagAt(field), &err);
+    ASSERT_TRUE(sys.has_value()) << "'" << field << "': " << err;
+    EXPECT_EQ(sys->tag(0).pos.x, want) << field;
+    EXPECT_EQ(std::signbit(sys->tag(0).pos.x), std::signbit(want)) << field;
+  }
+  // System renumbers ids, so the parsed value shows in the duplicate check.
+  const std::pair<const char*, int> ids[] = {
+      {" 7", 7}, {"+7", 7}, {"07", 7}, {"-7", -7}};
+  for (const auto& [field, want] : ids) {
+    std::string err;
+    EXPECT_TRUE(load(tagWithId(field), &err).has_value())
+        << "'" << field << "': " << err;
+    const std::string twin =
+        "tag," + std::to_string(want) + ",3.0,4.0,8\n";
+    EXPECT_FALSE(load(tagWithId(field) + twin, &err).has_value()) << field;
+    EXPECT_EQ(err, "deployment line 3: duplicate tag id " +
+                       std::to_string(want))
+        << field;
+  }
+  {
+    std::string err;
+    const auto sys = load(reader + "tag,0,1.0,2.0,7,\n", &err);
+    ASSERT_TRUE(sys.has_value()) << "one trailing comma: " << err;
+    EXPECT_EQ(sys->tag(0).epc, 7u);
+  }
+
+  const auto rejects = [&](const std::string& text, const std::string& what,
+                           const std::string& label) {
+    std::string err;
+    EXPECT_FALSE(load(text, &err).has_value()) << label;
+    EXPECT_EQ(err, "deployment line 2: " + what) << label;
+  };
+  for (const char* field :
+       {"1.5 ", "1.5\t", "1e", "0x", "nan", "infinity", "1e400", "1e-400",
+        "1e-310", "4.9e-324"}) {
+    rejects(tagAt(field), "tag position is not a finite number",
+            std::string("x='") + field + "'");
+  }
+  for (const char* field : {"7 ", "2147483648", "0x7"}) {
+    rejects(tagWithId(field), "malformed tag id",
+            std::string("id='") + field + "'");
+  }
+  rejects(reader + "tag,0,1.0,2.0,7,,\n", "unrecognized record 'tag'",
+          "two trailing commas");
+}
+
+TEST(Io, ParsedDoublesEqualStod) {
+  // Plain decimal fields take the from_chars path; its values must be the
+  // ones std::stod gives, at every precision a survey might print and at
+  // magnitudes from 1e-300 up to 1e7.
+  workload::Rng rng(2024);
+  std::string text = "reader,0,1.0,2.0,5.0,3.0\n";
+  std::vector<std::string> fields;
+  for (int i = 0; i < 400; ++i) {
+    const double v = rng.uniform(1.0, 10.0) *
+                     std::pow(10.0, rng.uniformInt(-300, 6)) *
+                     (i % 2 == 0 ? 1.0 : -1.0);
+    char buf[64];
+    const char* const formats[] = {"%.17g", "%.15g", "%.6e", "%.3f"};
+    std::snprintf(buf, sizeof buf, formats[i % 4], v);
+    fields.emplace_back(buf);
+    text += "tag," + std::to_string(i) + "," + buf + ",0.5,1\n";
+  }
+  std::stringstream ss(text);
+  std::string err;
+  const auto sys = loadDeployment(ss, &err);
+  ASSERT_TRUE(sys.has_value()) << err;
+  for (int i = 0; i < 400; ++i) {
+    const std::string& f = fields[static_cast<std::size_t>(i)];
+    EXPECT_EQ(sys->tag(i).pos.x, std::stod(f)) << f;
   }
 }
 

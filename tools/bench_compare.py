@@ -10,7 +10,7 @@ recorded.  --record runs every point below against the binaries under BUILD
 and gates the run against the newest label with one rule table (RULES): the
 first rule whose point and value patterns match decides the class.
 
-  advisory  machine-dependent values (wall and build times, RSS, latency,
+  advisory  machine-dependent values (wall, build and link times, RSS, latency,
             throughput, every micro-benchmark and saturation value): a drift
             beyond 25% warns and never fails.
   work      search effort: growth beyond 2% fails, a zero must stay zero, a
@@ -51,8 +51,9 @@ ADVISORY_DRIFT = 0.25
 RULES = (
     ("advisory", "micro/*", ("*",)),
     ("advisory", "service/saturation/*", ("*",)),
-    ("advisory", "*", ("wall_ms", "build_ms", "rss_mib", "elapsed_s", "p50_ms",
-                       "p99_ms", "throughput_rps", "capacity_rps")),
+    ("advisory", "*", ("wall_ms", "build_ms", "link_ms", "rss_mib",
+                       "elapsed_s", "p50_ms", "p99_ms", "throughput_rps",
+                       "capacity_rps")),
     ("work", "*", ("sched.weight_evals", "sched.candidates",
                    "core.weight_evals", "cost.*", "work_units")),
     ("work", "large/*", ("weight_evals",)),
