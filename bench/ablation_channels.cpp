@@ -9,6 +9,7 @@
 
 #include "analysis/stats.h"
 #include "sched/channels.h"
+#include "sched/mcs.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
       weight.add(mc.schedule(sys).weight);
       sys.resetReads();
       sched::MultiChannelScheduler mc2(sched::ChannelOptions{channels});
-      slots.add(sched::runChanneledCoveringSchedule(sys, mc2).slots);
+      slots.add(sched::runCoveringSchedule(sys, mc2).slots);
     }
     std::cout << std::setw(10) << channels << std::setw(14) << std::fixed
               << std::setprecision(1) << weight.mean() << std::setw(12)

@@ -1,8 +1,10 @@
 // Extension: dynamic tag arrivals.  The paper notes (§VII) that prior work
 // assumes a static tag population; this bench measures how the schedulers
-// behave when tags stream in — throughput, service latency, and peak
-// backlog vs arrival rate — comparing the centralized location-free
-// algorithm against the greedy baseline.
+// behave when tags stream in — service latency, peak backlog, and stream
+// length vs arrival rate — comparing the centralized location-free
+// algorithm against the greedy baseline.  Each run is the streaming driver
+// (sched/streaming.h) fed an arrivals-only churn trace over a floor that
+// starts empty.
 #include <iomanip>
 #include <iostream>
 
@@ -10,7 +12,8 @@
 #include "graph/interference_graph.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
-#include "workload/dynamic.h"
+#include "sched/streaming.h"
+#include "workload/deployment.h"
 
 int main(int argc, char** argv) {
   using namespace rfid;
@@ -18,47 +21,57 @@ int main(int argc, char** argv) {
 
   std::cout << "# Extension: dynamic tag arrivals (rate sweep)\n"
             << "# 50 readers, 100x100, lambda_R=10, lambda_r=4; arrivals for "
-               "40 slots, then drain; " << seeds << " seeds\n\n";
+               "40 slots, then drain; " << seeds << " seeds\n"
+            << "# backlog = peak unread coverable tags before a slot's "
+               "service; slots = stream clock (busy + idle)\n\n";
   std::cout << std::left << std::setw(7) << "rate" << std::setw(8) << "algo"
             << std::setw(12) << "latency" << std::setw(12) << "backlog"
             << std::setw(12) << "slots" << std::setw(10) << "drained"
             << '\n';
 
+  workload::DeploymentConfig deploy;
+  deploy.num_readers = 50;
+  deploy.region_side = 100.0;
+  deploy.lambda_R = 10.0;
+  deploy.lambda_r = 4.0;
+  sched::StreamingOptions opt;
+  opt.max_slots = 40 + 400;  // arrival slots + drain slots
+
   for (const double rate : {10.0, 20.0, 40.0, 80.0}) {
-    workload::DynamicConfig cfg;
-    cfg.arrival_rate = rate;
-    cfg.arrival_slots = 40;
-    cfg.drain_slots = 400;
-    cfg.deploy.num_readers = 50;
-    cfg.deploy.region_side = 100.0;
-    cfg.deploy.lambda_R = 10.0;
-    cfg.deploy.lambda_r = 4.0;
+    workload::ChurnConfig churn;
+    churn.arrival_rate = rate;
+    churn.slots = 40;
+    churn.region_side = deploy.region_side;
 
     struct Row {
       analysis::RunningStat latency, backlog, slots;
       int drained = 0;
     } alg2_row, ghc_row;
+    const auto record = [](Row& row, const sched::StreamingResult& res) {
+      row.latency.add(res.latency_mean);
+      row.backlog.add(res.backlog_peak);
+      row.slots.add(res.stream_slots);
+      row.drained += res.drained;
+    };
 
     for (int s = 0; s < seeds; ++s) {
       const std::uint64_t seed = 9500 + static_cast<std::uint64_t>(s);
+      const workload::ChurnTrace trace = workload::makeChurnTrace(churn, 0, seed);
+      const auto empty_floor = [&] {
+        return core::System(
+            workload::uniformReaders(deploy, workload::Rng(seed).split("readers")),
+            {});
+      };
       {
-        workload::DynamicInstance inst = workload::makeDynamicInstance(cfg, seed);
-        const graph::InterferenceGraph g(inst.system);
+        core::System sys = empty_floor();
+        const graph::InterferenceGraph g(sys);
         sched::GrowthScheduler alg2(g);
-        const auto res = workload::runDynamicSimulation(inst, alg2, cfg);
-        alg2_row.latency.add(res.mean_latency);
-        alg2_row.backlog.add(res.max_backlog);
-        alg2_row.slots.add(res.slots_run);
-        alg2_row.drained += res.drained;
+        record(alg2_row, sched::runStreamingMcs(sys, alg2, trace, opt));
       }
       {
-        workload::DynamicInstance inst = workload::makeDynamicInstance(cfg, seed);
+        core::System sys = empty_floor();
         sched::HillClimbingScheduler ghc;
-        const auto res = workload::runDynamicSimulation(inst, ghc, cfg);
-        ghc_row.latency.add(res.mean_latency);
-        ghc_row.backlog.add(res.max_backlog);
-        ghc_row.slots.add(res.slots_run);
-        ghc_row.drained += res.drained;
+        record(ghc_row, sched::runStreamingMcs(sys, ghc, trace, opt));
       }
     }
     auto print = [&](const char* name, const Row& r) {

@@ -7,6 +7,7 @@
 #include "fault/fault_plan.h"
 #include "geometry/vec2.h"
 #include "obs/timer.h"
+#include "sched/channels.h"
 
 namespace rfid::check {
 
@@ -251,6 +252,18 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
       break;
     }
   }
+  // -- a channeled proposal names one channel per reader; RTc (and so
+  // feasibility) is then judged between same-channel readers only --
+  const bool channeled = !proposal.channel.empty();
+  if (channeled && proposal.channel.size() != X.size()) {
+    well_formed = false;
+    flag(slot, "slot.channel-not-aligned",
+         std::to_string(proposal.channel.size()) + " channels for " +
+             std::to_string(X.size()) + " readers");
+  }
+  const auto chan = [&](std::size_t i) {
+    return channeled && i < proposal.channel.size() ? proposal.channel[i] : 0;
+  };
 
   // -- Definition 2 independence, straight from positions and radii.  The
   // predicate is spelled out here instead of calling core::independent so
@@ -260,6 +273,7 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
     bool flagged = false;
     for (std::size_t i = 0; i < X.size() && !flagged; ++i) {
       for (std::size_t j = i + 1; j < X.size() && !flagged; ++j) {
+        if (chan(i) != chan(j)) continue;
         const core::Reader& a = sys.reader(X[i]);
         const core::Reader& b = sys.reader(X[j]);
         const double max_r =
@@ -277,11 +291,14 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
 
   // -- re-derive the referee's crash strip / bench / jamming split --
   std::vector<int> expect_live;
+  std::vector<int> live_chan;  // expect_live's channels
   std::vector<int> expect_jam;
   if (!faulty) {
     expect_live.assign(X.begin(), X.end());
+    for (std::size_t i = 0; i < X.size(); ++i) live_chan.push_back(chan(i));
   } else {
-    for (const int v : X) {
+    for (std::size_t i = 0; i < X.size(); ++i) {
+      const int v = X[i];
       if (!trusted_from_.empty() &&
           trusted_from_[static_cast<std::size_t>(v)] > slot) {
         continue;  // benched: the driver re-plans around it
@@ -294,6 +311,7 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
         continue;
       }
       expect_live.push_back(v);
+      live_chan.push_back(chan(i));
     }
     for (int v = 0; v < sys.numReaders(); ++v) {
       if (plan->loud(v, slot)) expect_jam.push_back(v);
@@ -314,16 +332,19 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
 
   // -- the naive O(|X|·m) Definition 1 scan over raw geometry --
   // Radiators = live ∪ jamming.  A tag is served iff it is unread, covered
-  // by exactly one radiator, and that radiator is a live non-victim.
+  // by exactly one radiator, and that radiator is a live non-victim.  A
+  // live reader is victimized by a live one on its own channel, and by
+  // every jamming one (a stuck transmitter is channel-blind).
   std::vector<int> radiators(expect_live);
   radiators.insert(radiators.end(), expect_jam.begin(), expect_jam.end());
   std::vector<char> is_victim(expect_live.size(), 0);
   for (std::size_t i = 0; i < expect_live.size(); ++i) {
-    for (const int j : radiators) {
-      if (j != expect_live[i] &&
-          victimizes(sys.reader(j), sys.reader(expect_live[i]))) {
+    const core::Reader& u = sys.reader(expect_live[i]);
+    for (std::size_t j = 0; j < radiators.size() && is_victim[i] == 0; ++j) {
+      const bool jams = j >= expect_live.size();
+      if (j != i && (jams || live_chan[j] == live_chan[i]) &&
+          victimizes(sys.reader(radiators[j]), u)) {
         is_victim[i] = 1;
-        break;
       }
     }
   }
@@ -354,20 +375,18 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
     // on a clean slot it is exactly |expect_served| (settled below).
     if (faulty) {
       int imult = 0;
-      int ionly = -1;
-      for (const int v : X) {
-        if (coversGeom(sys.reader(v), tag)) {
+      std::size_t ionly = 0;
+      for (std::size_t i = 0; i < X.size(); ++i) {
+        if (coversGeom(sys.reader(X[i]), tag)) {
           ++imult;
-          ionly = v;
+          ionly = i;
         }
       }
       if (imult == 1) {
         bool vic = false;
-        for (const int j : X) {
-          if (j != ionly && victimizes(sys.reader(j), sys.reader(ionly))) {
-            vic = true;
-            break;
-          }
+        for (std::size_t j = 0; j < X.size() && !vic; ++j) {
+          vic = j != ionly && chan(j) == chan(ionly) &&
+                victimizes(sys.reader(X[j]), sys.reader(X[ionly]));
         }
         if (!vic) ++ideal_weight;
       }
@@ -439,10 +458,15 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
                ", shadow ledger says " +
                std::to_string(remaining_coverable_));
     }
-    const int referee_w = sys.weight(X);
+    const int referee_w =
+        channeled && well_formed
+            ? static_cast<int>(
+                  sched::wellCoveredTagsChanneled(sys, X, proposal.channel)
+                      .size())
+            : sys.weight(X);
     if (referee_w != ideal_weight) {
       flag(slot, "paranoid.referee-weight-mismatch",
-           "System::weight " + std::to_string(referee_w) +
+           "referee weight " + std::to_string(referee_w) +
                " != naive recount " + std::to_string(ideal_weight));
     }
   }

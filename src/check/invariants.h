@@ -9,6 +9,8 @@
 //     ‖v_i − v_j‖ > max(R_i, R_j) — never the cached interference graph;
 //   * the slot's served set by a naive O(|X|·m) exactly-one-coverage scan
 //     (Definition 1) over raw positions — never the coverage index;
+//   * for a proposal that carries channels (sched/channels.h), both of the
+//     above with RTc between same-channel readers only;
 //   * monotone read-state growth against a private shadow bitmap;
 //   * MCS postconditions (Definition 4 / §III): a run that claims
 //     completion left no servable tag unread, no committed slot claimed a
@@ -59,12 +61,12 @@ enum class CheckLevel {
 
 struct CheckOptions {
   CheckLevel level = CheckLevel::kNormal;
-  /// The scheduler guarantees feasible proposals (every algorithm except
-  /// Colorwave's raw color classes and the multi-channel scheduler).
+  /// The scheduler guarantees feasible proposals, same-channel pairs only
+  /// for a channeled one (every algorithm except Colorwave's raw color
+  /// classes).
   bool expect_feasible = true;
   /// OneShotResult::weight must equal the recomputed no-fault weight of
-  /// the proposal (false for multi-channel, whose channeled weight
-  /// legitimately exceeds the single-channel referee's, and for
+  /// the proposal, channeled when it carries channels (false for
   /// distributed schedulers running over a faulted control plane).
   bool expect_exact_weight = true;
   /// A committed slot must have strictly positive no-fault weight while

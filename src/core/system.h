@@ -113,10 +113,8 @@ class System {
     read_bits_[p >> 6] |= std::uint64_t{1} << (p & 63);
   }
   void markRead(std::span<const int> tags);
-  /// Re-arms a tag.  Two uses: undoing experiment state, and the dynamic
-  /// arrival simulation (workload::DynamicSimulation), which pre-places all
-  /// future tags as read ("not in the field yet") and un-reads each one at
-  /// its arrival slot.
+  /// Re-arms a tag (undoing experiment state).  Tag arrivals go through
+  /// addTag instead (the streaming driver, sched/streaming.h).
   void markUnread(int t) {
     const std::uint32_t p = bit_of_[static_cast<std::size_t>(t)];
     read_bits_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));

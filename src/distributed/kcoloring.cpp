@@ -22,13 +22,12 @@ std::string KColoringScheduler::name() const {
   return "KCol" + std::to_string(channels_);
 }
 
-sched::ChanneledResult KColoringScheduler::scheduleChanneled(
-    const core::System& sys) {
+sched::OneShotResult KColoringScheduler::schedule(const core::System& sys) {
   protocol_->runProtocol(settled_ ? 10 : 1500);
   settled_ = true;
 
   const std::vector<int> colors = protocol_->colors();
-  sched::ChanneledResult res;
+  sched::OneShotResult res;
   for (int v = 0; v < sys.numReaders(); ++v) {
     res.readers.push_back(v);
     res.channel.push_back(colors[static_cast<std::size_t>(v)]);

@@ -41,18 +41,35 @@ void SpatialGrid::queryDisk(Vec2 center, double radius,
                             std::vector<int>& out) const {
   const std::size_t first = out.size();
   const double r2 = radius * radius;
-  const auto cx0 = cellCoord(center.x - radius, cell_size_);
-  const auto cx1 = cellCoord(center.x + radius, cell_size_);
-  const auto cy0 = cellCoord(center.y - radius, cell_size_);
-  const auto cy1 = cellCoord(center.y + radius, cell_size_);
-  for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      const auto it = cells_.find(cellKey(cx, cy));
-      if (it == cells_.end()) continue;
-      for (const int idx : it->second) {
-        if (dist2(points_[static_cast<std::size_t>(idx)], center) <= r2) {
-          out.push_back(idx);
-        }
+  const auto keep = [&](int idx) {
+    if (dist2(points_[static_cast<std::size_t>(idx)], center) <= r2) {
+      out.push_back(idx);
+    }
+  };
+  // A disk whose bounding box spans more cells than the grid has occupied
+  // cells is cheaper to answer by scanning the occupied cells than by
+  // probing the box.  The box size is counted in floating point, so a huge
+  // radius never reaches the int64 cell coordinates below (and a NaN one
+  // takes the scan).
+  const auto span = [&](double c) {
+    return std::floor((c + radius) / cell_size_) -
+           std::floor((c - radius) / cell_size_) + 1.0;
+  };
+  if (!(span(center.x) * span(center.y) <=
+        static_cast<double>(cells_.size()))) {
+    for (const auto& cell : cells_) {
+      for (const int idx : cell.second) keep(idx);
+    }
+  } else {
+    const auto cx0 = cellCoord(center.x - radius, cell_size_);
+    const auto cx1 = cellCoord(center.x + radius, cell_size_);
+    const auto cy0 = cellCoord(center.y - radius, cell_size_);
+    const auto cy1 = cellCoord(center.y + radius, cell_size_);
+    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+      for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+        const auto it = cells_.find(cellKey(cx, cy));
+        if (it == cells_.end()) continue;
+        for (const int idx : it->second) keep(idx);
       }
     }
   }

@@ -28,9 +28,10 @@ class SpatialGrid {
  public:
   /// Constructs an index over `points` with the given cell size.
   ///
-  /// `cell_size` should be on the order of the typical query radius; queries
-  /// with much larger radii still work but degrade towards a linear scan of
-  /// the touched cells.  `cell_size` must be > 0.
+  /// `cell_size` should be on the order of the typical query radius; a
+  /// query with a much larger radius still works, at worst as a scan of
+  /// the occupied cells (never of the empty cells its box spans).
+  /// `cell_size` must be > 0.
   SpatialGrid(std::span<const Vec2> points, double cell_size);
 
   /// Indices of all points p with ‖p − center‖ ≤ radius, in ascending order.

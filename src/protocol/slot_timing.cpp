@@ -7,6 +7,7 @@
 
 #include "protocol/aloha.h"
 #include "protocol/tree_walking.h"
+#include "sched/channels.h"
 
 namespace rfid::protocol {
 
@@ -92,7 +93,8 @@ LinkTimingResult timeScheduleGen2(core::System& sys,
     // read requirement cannot absorb (docs/protocol.md).
     const Gen2Target target = Gen2Target::kA;
 
-    const std::vector<int> phys = sys.wellCoveredTags(slot.active);
+    const std::vector<int> phys =
+        sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
     // Group the physical population by its unique radiating owner.
     pops.assign(slot.active.size(), {});
     for (std::size_t i = 0; i < slot.active.size(); ++i) {
@@ -211,7 +213,8 @@ LinkTimingResult timeScheduleLink(core::System& sys,
     // only to recover the tag count; no link state, no air-time model.
     sys.resetReads();
     for (const sched::SlotRecord& slot : schedule.schedule) {
-      const std::vector<int> served = sys.wellCoveredTags(slot.active);
+      const std::vector<int> served =
+          sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
       res.tags_read += static_cast<int>(served.size());
       res.micro_slots += 1;
       res.micro_slots_serial += static_cast<std::int64_t>(slot.active.size());
@@ -226,7 +229,8 @@ LinkTimingResult timeScheduleLink(core::System& sys,
   const int bits = epcBits(sys);
   std::vector<int> cov;
   for (const sched::SlotRecord& slot : schedule.schedule) {
-    const std::vector<int> served = sys.wellCoveredTags(slot.active);
+    const std::vector<int> served =
+        sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
     std::int64_t slot_max = 0;
     for (const int v : slot.active) {
       // Tags of v among the served set (exclusive coverage ⇒ unique owner).

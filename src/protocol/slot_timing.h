@@ -90,7 +90,8 @@ struct LinkTimingResult {
 /// Replays `schedule` under `opt.link`.  Resets the read-state of `sys` and
 /// leaves it fully re-marked (pass a scratch copy if the caller still needs
 /// its read-state).  Deterministic in (schedule, deployment, rng seed);
-/// independent of scheduler thread count.
+/// independent of scheduler thread count.  A slot that carries channels
+/// (SlotRecord::channel) is refereed by sched::wellCoveredTagsChanneled.
 /// Fault-injected runs record *proposed* active sets, which a replay cannot
 /// re-execute faithfully — callers gate on a fault-free run (the CLI rejects
 /// `--link` + `--fault-*`).

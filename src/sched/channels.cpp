@@ -23,29 +23,37 @@ bool isChannelFeasible(const core::System& sys, std::span<const int> readers,
 
 std::vector<int> wellCoveredTagsChanneled(const core::System& sys,
                                           std::span<const int> readers,
-                                          std::span<const int> channel) {
+                                          std::span<const int> channel,
+                                          std::span<const int> jamming) {
+  if (channel.empty()) return sys.wellCoveredTags(readers, jamming);
   assert(readers.size() == channel.size());
-  // RTc victims: inside a same-channel active reader's interference disk.
+  // Reader u sits inside radiator j's interference disk.
+  const auto inside = [&sys](int u, int j) {
+    const core::Reader& rj = sys.reader(j);
+    return geom::dist2(sys.reader(u).pos, rj.pos) <=
+           rj.interference_radius * rj.interference_radius;
+  };
+  // RTc victims: inside a same-channel active reader's interference disk,
+  // or inside any jamming reader's.
   std::vector<char> victim(readers.size(), 0);
   for (std::size_t i = 0; i < readers.size(); ++i) {
-    for (std::size_t j = 0; j < readers.size(); ++j) {
+    for (std::size_t j = 0; j < readers.size() && victim[i] == 0; ++j) {
       if (i == j || channel[i] != channel[j]) continue;
-      const core::Reader& a = sys.reader(readers[i]);
-      const core::Reader& b = sys.reader(readers[j]);
-      const double rj = b.interference_radius;
-      if (geom::dist2(a.pos, b.pos) <= rj * rj) {
-        victim[i] = 1;
-        break;
-      }
+      if (inside(readers[i], readers[j])) victim[i] = 1;
+    }
+    for (std::size_t j = 0; j < jamming.size() && victim[i] == 0; ++j) {
+      if (inside(readers[i], jamming[j])) victim[i] = 1;
     }
   }
-  // Coverage multiplicity across ALL active readers (RRc is channel-blind).
+  // Coverage multiplicity across ALL radiators (RRc is channel-blind).
   std::vector<int> count(static_cast<std::size_t>(sys.numTags()), 0);
   std::vector<int> cov;
-  for (const int v : readers) {
+  const auto tally = [&](int v) {
     sys.coveredTags(v, cov);
     for (const int t : cov) ++count[static_cast<std::size_t>(t)];
-  }
+  };
+  for (const int v : readers) tally(v);
+  for (const int v : jamming) tally(v);
   std::vector<int> served;
   for (std::size_t i = 0; i < readers.size(); ++i) {
     if (victim[i] != 0) continue;
@@ -66,8 +74,7 @@ std::string MultiChannelScheduler::name() const {
   return "MC" + std::to_string(opt_.num_channels);
 }
 
-ChanneledResult MultiChannelScheduler::scheduleChanneled(
-    const core::System& sys) {
+OneShotResult MultiChannelScheduler::schedule(const core::System& sys) {
   const int n = sys.numReaders();
   core::WeightEvaluator eval(sys);
   std::vector<int> chosen;
@@ -108,7 +115,7 @@ ChanneledResult MultiChannelScheduler::scheduleChanneled(
     chan.push_back(best_channel);
   }
 
-  ChanneledResult res;
+  OneShotResult res;
   // Sort by reader index, carrying channels along.
   std::vector<std::size_t> order(chosen.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -121,33 +128,6 @@ ChanneledResult MultiChannelScheduler::scheduleChanneled(
   }
   res.weight = static_cast<int>(
       wellCoveredTagsChanneled(sys, res.readers, res.channel).size());
-  return res;
-}
-
-OneShotResult MultiChannelScheduler::schedule(const core::System& sys) {
-  const ChanneledResult res = scheduleChanneled(sys);
-  return {res.readers, res.weight};
-}
-
-ChanneledMcsResult runChanneledCoveringSchedule(core::System& sys,
-                                                ChanneledScheduler& sched,
-                                                int max_slots) {
-  ChanneledMcsResult res;
-  int stall = 0;
-  while (sys.unreadCoverableCount() > 0 && res.slots < max_slots) {
-    const ChanneledResult one = sched.scheduleChanneled(sys);
-    const std::vector<int> served =
-        wellCoveredTagsChanneled(sys, one.readers, one.channel);
-    sys.markRead(served);
-    ++res.slots;
-    res.tags_read += static_cast<int>(served.size());
-    if (served.empty()) {
-      if (++stall >= 500) break;
-    } else {
-      stall = 0;
-    }
-  }
-  res.completed = sys.unreadCoverableCount() == 0;
   return res;
 }
 

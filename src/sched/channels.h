@@ -4,10 +4,10 @@
 // the EPCglobal Gen-2 *dense reading mode* (tag responses on different
 // spectral channels than readers) and the k-coloring heuristic of [13]
 // (k = number of available channels).  With C channels, a slot activates a
-// set of readers *plus a channel assignment*; reader–tag collisions only
-// occur between readers sharing a channel, while reader–reader collisions
-// at tags persist across channels (a passive tag is frequency-dumb on the
-// downlink it backscatters).
+// set of readers *plus a channel assignment* (OneShotResult::channel);
+// reader–tag collisions only occur between readers sharing a channel, while
+// reader–reader collisions at tags persist across channels (a passive tag
+// is frequency-dumb on the downlink it backscatters).
 //
 // Channel-feasibility of (X, channel) therefore means: same-channel pairs
 // must be independent — i.e. X's interference subgraph is properly colored
@@ -22,13 +22,6 @@
 
 namespace rfid::sched {
 
-/// A one-shot decision with channels.
-struct ChanneledResult {
-  std::vector<int> readers;   // ascending
-  std::vector<int> channel;   // channel[i] for readers[i], in [0, C)
-  int weight = 0;
-};
-
 /// True iff every same-channel pair in (readers, channel) is independent.
 bool isChannelFeasible(const core::System& sys, std::span<const int> readers,
                        std::span<const int> channel);
@@ -36,18 +29,16 @@ bool isChannelFeasible(const core::System& sys, std::span<const int> readers,
 /// Definition-1 semantics generalized to channels: a reader is an RTc
 /// victim only if it sits inside the interference disk of another active
 /// reader *on its own channel*; a tag is lost to RRc when ≥2 active readers
-/// (any channels) cover it.  Only unread tags are reported.
+/// (any channels) cover it.  Readers in `jamming` (loud-failed transmitters,
+/// disjoint from `readers`) are channel-blind: they add RRc multiplicity
+/// and victimize every reader inside their interference disk, but read
+/// nothing.  Only unread tags are reported, ascending.  With `channel`
+/// empty this is exactly System::wellCoveredTags(readers, jamming), the
+/// paper's single-channel referee.
 std::vector<int> wellCoveredTagsChanneled(const core::System& sys,
                                           std::span<const int> readers,
-                                          std::span<const int> channel);
-
-/// Interface for schedulers that decide (readers, channels) jointly.
-class ChanneledScheduler {
- public:
-  virtual ~ChanneledScheduler() = default;
-  virtual std::string name() const = 0;
-  virtual ChanneledResult scheduleChanneled(const core::System& sys) = 0;
-};
+                                          std::span<const int> channel,
+                                          std::span<const int> jamming = {});
 
 struct ChannelOptions {
   int num_channels = 2;
@@ -57,31 +48,17 @@ struct ChannelOptions {
 /// largest positive marginal weight that still fits on *some* channel
 /// (first-fit).  With C = 1 this is exactly the GHC baseline; more channels
 /// admit interfering readers on separate frequencies, so per-slot weight is
-/// non-decreasing in C until RRc becomes the binding constraint.
-class MultiChannelScheduler final : public OneShotScheduler,
-                                    public ChanneledScheduler {
+/// non-decreasing in C until RRc becomes the binding constraint.  The
+/// result carries the channel assignment and its channeled weight.
+class MultiChannelScheduler final : public OneShotScheduler {
  public:
   explicit MultiChannelScheduler(ChannelOptions opt = {});
 
   std::string name() const override;
   OneShotResult schedule(const core::System& sys) override;
 
-  /// Like schedule() but keeps the channel assignment.
-  ChanneledResult scheduleChanneled(const core::System& sys) override;
-
  private:
   ChannelOptions opt_;
 };
-
-/// MCS driver for channel schedules: same greedy slot loop as
-/// runCoveringSchedule, refereed by wellCoveredTagsChanneled.
-struct ChanneledMcsResult {
-  int slots = 0;
-  int tags_read = 0;
-  bool completed = false;
-};
-ChanneledMcsResult runChanneledCoveringSchedule(core::System& sys,
-                                                ChanneledScheduler& sched,
-                                                int max_slots = 100000);
 
 }  // namespace rfid::sched

@@ -4,6 +4,7 @@
 #include "ckpt/journal.h"
 #include "fault/channel_model.h"
 #include "fault/fault_plan.h"
+#include "sched/channels.h"
 #include "sched/mcs_loop.h"
 
 namespace rfid::sched {
@@ -18,7 +19,8 @@ namespace {
 ///   2. the tag sits in a permanently-loud reader's interrogation disk, so
 ///      its coverage multiplicity is >= 2 in every future slot (RRc);
 ///   3. every coverer not permanently dead sits inside a permanently-loud
-///      reader's interference disk, i.e. is an RTc victim forever.
+///      reader's interference disk, i.e. is an RTc victim forever on every
+///      channel (a stuck transmitter is channel-blind).
 int countMcsOrphans(const core::System& sys, const fault::FaultPlan& plan,
                     int slot) {
   std::vector<char> jammed_tag(static_cast<std::size_t>(sys.numTags()), 0);
@@ -188,17 +190,21 @@ bool McsSlotLoop::step(int clock, bool settled) {
   bool slot_faulty = false;
   bool slot_lost = false;
   // Hoisted from the faulty branch so the validator can see the executed
-  // split; on the clean path both stay empty (no allocation, no referee
-  // change).
+  // split; on the clean path all three stay empty (no allocation, no
+  // referee change).  A channeled proposal (one.channel non-empty) is
+  // refereed by wellCoveredTagsChanneled, an unchanneled one by the
+  // System's bitmap referee.
   std::vector<int> live;
+  std::vector<int> live_channel;
   std::vector<int> jamming;
   if (!faulty_) {
-    served_ = sys_.wellCoveredTags(one.readers);
+    served_ = wellCoveredTagsChanneled(sys_, one.readers, one.channel);
   } else {
     // Split the proposal: benched readers are stripped (the driver
     // re-planned around a known failure), crashed ones read nothing.
     live.reserve(one.readers.size());
-    for (const int v : one.readers) {
+    for (std::size_t i = 0; i < one.readers.size(); ++i) {
+      const int v = one.readers[i];
       if (!trusted_from_.empty() &&
           trusted_from_[static_cast<std::size_t>(v)] > clock) {
         ++replanned_here;
@@ -213,15 +219,16 @@ bool McsSlotLoop::step(int clock, bool settled) {
         continue;
       }
       live.push_back(v);
+      if (!one.channel.empty()) live_channel.push_back(one.channel[i]);
     }
     // Every loud-crashed reader jams while crashed, proposed or not — a
     // stuck transmitter does not wait for an activation and re-planning
     // cannot silence it.  The referee charges its RRc multiplicity and
-    // RTc victimization against the live set.
+    // RTc victimization against the live set, whatever their channels.
     for (const int v : plan_->loudAt(clock)) {
       if (v >= 0 && v < sys_.numReaders()) jamming.push_back(v);
     }
-    served_ = sys_.wellCoveredTags(live, jamming);
+    served_ = wellCoveredTagsChanneled(sys_, live, live_channel, jamming);
     // Interrogation misses: a well-covered tag can still fail its
     // inventory round; it stays unread and future slots retry it.
     if (plan_->hasMissFaults()) {
@@ -238,7 +245,8 @@ bool McsSlotLoop::step(int clock, bool settled) {
     }
     // The no-fault counterfactual for degradation accounting: what this
     // exact proposal would have served on ideal hardware.
-    ideal_here = static_cast<int>(sys_.wellCoveredTags(one.readers).size());
+    ideal_here = static_cast<int>(
+        wellCoveredTagsChanneled(sys_, one.readers, one.channel).size());
     McsDegradation& d = res_.degradation;
     d.ideal_tags_read += ideal_here;
     d.crashed_activations += crashed_here;
@@ -338,6 +346,7 @@ bool McsSlotLoop::step(int clock, bool settled) {
 
   SlotRecord rec;
   rec.active = one.readers;
+  rec.channel = one.channel;
   rec.tags_read = static_cast<int>(served_.size());
   res_.schedule.push_back(std::move(rec));
   ++res_.slots;

@@ -10,7 +10,9 @@
 // full schedule.  It is the referee: whatever set a scheduler proposes is
 // re-evaluated with the Definition 1 semantics — infeasible proposals (e.g.
 // a not-yet-converged Colorwave class) simply serve fewer tags, exactly as
-// the physics would dictate.
+// the physics would dictate.  A proposal that carries channels
+// (OneShotResult::channel) is refereed in the channel model of
+// sched/channels.h: RTc only between same-channel readers.
 //
 // With a fault::FaultPlan attached the referee also injects the plan's
 // failures (docs/faults.md): crashed proposal members read nothing (loud
@@ -167,6 +169,7 @@ const char* mcsStopName(McsStop s);
 /// One executed time-slot.
 struct SlotRecord {
   std::vector<int> active;   // the set the scheduler proposed
+  std::vector<int> channel;  // its channels (empty: single-channel)
   int tags_read = 0;         // well-covered tags actually served
 };
 

@@ -34,6 +34,12 @@ struct OneShotResult {
   std::vector<int> readers;
   /// w(readers) as evaluated by the System at decision time.
   int weight = 0;
+  /// The channel assignment (sched/channels.h): empty for the paper's
+  /// single-channel model, otherwise channel[i] is readers[i]'s channel.
+  /// Every referee of a slot (the MCS step, the validator, the link replay)
+  /// switches to wellCoveredTagsChanneled when it is non-empty.  (The
+  /// initializer lets `{readers, weight}` stay a complete initialization.)
+  std::vector<int> channel = {};
 };
 
 /// Interface shared by Algorithm 1 (PTAS), Algorithm 2 (growth-bounded),

@@ -2,9 +2,13 @@
 // the channel-aware referee, and monotonicity in the channel count.
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
+#include "fault/fault_plan.h"
 #include "sched/channels.h"
 #include "sched/hill_climbing.h"
+#include "sched/mcs.h"
 #include "test_helpers.h"
+#include "workload/scenario.h"
 
 namespace rfid::sched {
 namespace {
@@ -64,7 +68,7 @@ TEST(Channels, SchedulerAssignmentsAreChannelFeasible) {
   for (const std::uint64_t seed : {4u, 8u, 12u}) {
     const core::System sys = test::smallRandomSystem(seed, 20, 120, 50.0);
     MultiChannelScheduler mc(ChannelOptions{3});
-    const ChanneledResult res = mc.scheduleChanneled(sys);
+    const OneShotResult res = mc.schedule(sys);
     EXPECT_TRUE(isChannelFeasible(sys, res.readers, res.channel));
     for (const int c : res.channel) {
       EXPECT_GE(c, 0);
@@ -100,10 +104,95 @@ TEST(Channels, MoreChannelsNeverHurtOnBatch) {
 TEST(Channels, ChanneledMcsCompletes) {
   core::System sys = test::smallRandomSystem(30, 18, 120, 45.0);
   MultiChannelScheduler mc(ChannelOptions{2});
-  const ChanneledMcsResult res = runChanneledCoveringSchedule(sys, mc);
+  const McsResult res = runCoveringSchedule(sys, mc);
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(sys.unreadCoverableCount(), 0);
   EXPECT_GT(res.tags_read, 0);
+}
+
+TEST(Channels, PaperDefaultMcsPassesTheStrictValidator) {
+  // The paper-default deployment (seed 1, 315 coverable tags) through the
+  // one MCS driver: the proposals carry their channels, so the referee and
+  // the validator judge feasibility and weight in the channel model, with
+  // no exemption for the multi-channel scheduler.
+  core::System sys = workload::makeSystem(workload::paperScenario(10, 4), 1);
+  ASSERT_EQ(sys.unreadCoverableCount(), 315);
+  check::CheckOptions co;
+  co.expect_feasible = true;
+  co.expect_exact_weight = true;
+  check::ScheduleValidator validator(co);
+  McsOptions opt;
+  opt.validator = &validator;
+  MultiChannelScheduler mc(ChannelOptions{2});
+  const McsResult res = runCoveringSchedule(sys, mc, opt);
+  EXPECT_EQ(res.slots, 3);
+  EXPECT_EQ(res.tags_read, 315);
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.stop, McsStop::kNone);
+  EXPECT_TRUE(validator.ok());
+  EXPECT_EQ(validator.slotsChecked(), 3);
+  for (const SlotRecord& slot : res.schedule) {
+    EXPECT_EQ(slot.channel.size(), slot.active.size());
+  }
+}
+
+TEST(Channels, LoudJammerIsChannelBlind) {
+  // Two mutually interfering readers, each with an exclusive tag: MC2 puts
+  // them on different channels.  When reader 1 crashes loud, its stuck
+  // transmitter victimizes reader 0 whatever reader 0's channel — in the
+  // referee, the slot step, the validator and the orphan count alike.
+  const auto twoReaders = [] {
+    return core::System({makeReader(0, 0, 10.0, 3.0), makeReader(5, 0, 10.0, 3.0)},
+                        {makeTag(-2, 0), makeTag(7, 0)});
+  };
+  {
+    const core::System sys = twoReaders();
+    const std::vector<int> live = {0};
+    const std::vector<int> jam = {1};
+    EXPECT_TRUE(wellCoveredTagsChanneled(sys, live, std::vector<int>{0}, jam).empty());
+    EXPECT_TRUE(wellCoveredTagsChanneled(sys, live, std::vector<int>{1}, jam).empty());
+  }
+  {
+    // Transient loud crash: slot 0 serves nothing although its proposal
+    // is channel-feasible, then both tags are read.
+    core::System sys = twoReaders();
+    fault::FaultPlan plan;
+    plan.addCrash(1, 0, 3, /*loud=*/true);
+    check::CheckOptions co;
+    co.faults = &plan;
+    check::ScheduleValidator validator(co);
+    McsOptions opt;
+    opt.faults = &plan;
+    opt.validator = &validator;
+    MultiChannelScheduler mc(ChannelOptions{2});
+    const McsResult res = runCoveringSchedule(sys, mc, opt);
+    ASSERT_FALSE(res.schedule.empty());
+    EXPECT_EQ(res.schedule[0].channel, (std::vector<int>{0, 1}));
+    EXPECT_EQ(res.schedule[0].tags_read, 0);
+    EXPECT_GE(res.degradation.slots_lost, 1);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.tags_read, 2);
+    EXPECT_TRUE(validator.ok());
+  }
+  {
+    // Permanent loud crash: reader 0 is a victim forever, so both tags are
+    // orphaned before the first slot.
+    core::System sys = twoReaders();
+    fault::FaultPlan plan;
+    plan.addCrash(1, 0, -1, /*loud=*/true);
+    check::CheckOptions co;
+    co.faults = &plan;
+    check::ScheduleValidator validator(co);
+    McsOptions opt;
+    opt.faults = &plan;
+    opt.validator = &validator;
+    MultiChannelScheduler mc(ChannelOptions{2});
+    const McsResult res = runCoveringSchedule(sys, mc, opt);
+    EXPECT_EQ(res.slots, 0);
+    EXPECT_EQ(res.degradation.tags_orphaned, 2);
+    EXPECT_FALSE(res.completed);
+    EXPECT_TRUE(validator.ok());
+  }
 }
 
 TEST(Channels, MoreChannelsShrinkSchedulesOnBatch) {
@@ -111,10 +200,10 @@ TEST(Channels, MoreChannelsShrinkSchedulesOnBatch) {
   for (const std::uint64_t seed : {31u, 32u, 33u}) {
     core::System sys = test::smallRandomSystem(seed, 20, 120, 40.0);
     MultiChannelScheduler a(ChannelOptions{1});
-    s1 += runChanneledCoveringSchedule(sys, a).slots;
+    s1 += runCoveringSchedule(sys, a).slots;
     sys.resetReads();
     MultiChannelScheduler b(ChannelOptions{4});
-    s4 += runChanneledCoveringSchedule(sys, b).slots;
+    s4 += runCoveringSchedule(sys, b).slots;
   }
   EXPECT_LE(s4, s1);
 }

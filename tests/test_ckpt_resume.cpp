@@ -20,6 +20,7 @@
 #include "fault/fault_plan.h"
 #include "graph/interference_graph.h"
 #include "obs/metrics.h"
+#include "sched/channels.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
@@ -51,6 +52,7 @@ std::unique_ptr<sched::OneShotScheduler> makeScheduler(
     return std::make_unique<dist::GrowthDistributedScheduler>(g);
   }
   if (algo == "ghc") return std::make_unique<sched::HillClimbingScheduler>();
+  if (algo == "mc") return std::make_unique<sched::MultiChannelScheduler>();
   if (algo == "ca") {
     return std::make_unique<dist::ColorwaveScheduler>(sys, kSeed);
   }
@@ -117,6 +119,7 @@ void expectSameResult(const sched::McsResult& a, const sched::McsResult& b) {
   ASSERT_EQ(a.schedule.size(), b.schedule.size());
   for (std::size_t q = 0; q < a.schedule.size(); ++q) {
     EXPECT_EQ(a.schedule[q].active, b.schedule[q].active) << "slot " << q;
+    EXPECT_EQ(a.schedule[q].channel, b.schedule[q].channel) << "slot " << q;
     EXPECT_EQ(a.schedule[q].tags_read, b.schedule[q].tags_read)
         << "slot " << q;
   }
@@ -136,10 +139,12 @@ class CkptResumeTest : public ::testing::Test {
 };
 
 TEST_F(CkptResumeTest, InterruptThenResumeIsBitIdenticalForEveryAlgorithm) {
-  for (const std::string algo : {"alg2", "alg3", "ghc", "ca"}) {
+  for (const std::string algo : {"alg2", "alg3", "ghc", "ca", "mc"}) {
     for (const bool faults : {false, true}) {
       SCOPED_TRACE(algo + (faults ? "+faults" : " clean"));
       const std::string tag = algo + std::string(faults ? "-f" : "-c");
+      // MC2 covers the clean deployment in 2 slots, so it is cut after 1.
+      const int cap = algo == "mc" ? 1 : 2;
 
       // Uninterrupted run, journaled.
       const RunOut base = runOnce(algo, faults, path(tag + "-base"),
@@ -147,24 +152,24 @@ TEST_F(CkptResumeTest, InterruptThenResumeIsBitIdenticalForEveryAlgorithm) {
       ASSERT_TRUE(base.run.ok) << base.run.error;
       EXPECT_FALSE(base.run.resumed);
       EXPECT_FALSE(base.run.result.interrupted);
-      // The scenario must be long enough that a cap of 2 really interrupts.
-      ASSERT_GT(base.run.result.slots, 2) << "scenario too easy to test resume";
+      // The scenario must be long enough that the cap really interrupts.
+      ASSERT_GT(base.run.result.slots, cap) << "scenario too easy to test resume";
 
       // Same run interrupted by a slot cap…
       const RunOut cut = runOnce(algo, faults, path(tag),
-                                 /*resume=*/false, /*slot_cap=*/2);
+                                 /*resume=*/false, /*slot_cap=*/cap);
       ASSERT_TRUE(cut.run.ok) << cut.run.error;
       ASSERT_TRUE(cut.run.result.interrupted);
       EXPECT_EQ(cut.run.result.stop, sched::McsStop::kSlotCap);
-      EXPECT_EQ(cut.run.result.slots, 2);
+      EXPECT_EQ(cut.run.result.slots, cap);
 
       // …and resumed from its journal in a fresh "process".
       const RunOut res = runOnce(algo, faults, path(tag),
                                  /*resume=*/true, /*slot_cap=*/0);
       ASSERT_TRUE(res.run.ok) << res.run.error;
       EXPECT_TRUE(res.run.resumed);
-      EXPECT_EQ(res.run.replayed_slots, 2);
-      EXPECT_EQ(res.run.result.replayed_slots, 2);
+      EXPECT_EQ(res.run.replayed_slots, cap);
+      EXPECT_EQ(res.run.result.replayed_slots, cap);
 
       // The resumed run is bit-identical to the uninterrupted one —
       // result, schedule, and metrics JSON (replayed_slots excepted,

@@ -1,20 +1,27 @@
-// Dynamic tag arrival tests: instance generation, conservation laws of the
-// simulation, latency accounting, and drain behavior.
+// Dynamic tag arrival tests: the streaming driver fed an arrivals-only churn
+// trace over a floor that starts empty — trace generation, conservation
+// laws of the run, latency accounting, and drain behavior.
 #include <gtest/gtest.h>
 
 #include "graph/interference_graph.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
-#include "workload/dynamic.h"
+#include "sched/streaming.h"
+#include "workload/churn.h"
+#include "workload/deployment.h"
 
 namespace rfid::workload {
 namespace {
 
-DynamicConfig smallConfig() {
-  DynamicConfig cfg;
-  cfg.arrival_rate = 8.0;
-  cfg.arrival_slots = 10;
-  cfg.drain_slots = 200;
+struct ArrivalConfig {
+  double arrival_rate = 8.0;  // mean new tags per slot (Poisson)
+  int arrival_slots = 10;     // slots during which arrivals occur
+  int drain_slots = 200;      // extra busy slots allowed after arrivals stop
+  DeploymentConfig deploy;    // readers only; the floor starts empty
+};
+
+ArrivalConfig smallConfig() {
+  ArrivalConfig cfg;
   cfg.deploy.num_readers = 15;
   cfg.deploy.region_side = 50.0;
   cfg.deploy.lambda_R = 9.0;
@@ -22,135 +29,169 @@ DynamicConfig smallConfig() {
   return cfg;
 }
 
-TEST(Dynamic, InstanceIsDeterministicAndParked) {
-  const DynamicConfig cfg = smallConfig();
-  DynamicInstance a = makeDynamicInstance(cfg, 11);
-  DynamicInstance b = makeDynamicInstance(cfg, 11);
-  ASSERT_EQ(a.system.numTags(), b.system.numTags());
-  for (int t = 0; t < a.system.numTags(); ++t) {
-    EXPECT_EQ(a.arrival_slot[static_cast<std::size_t>(t)],
-              b.arrival_slot[static_cast<std::size_t>(t)]);
-    EXPECT_TRUE(a.system.isRead(t)) << "tags start parked";
+/// The readers over an empty floor plus the trace of every future arrival.
+struct Arrivals {
+  core::System sys;
+  ChurnTrace trace;
+};
+
+Arrivals makeArrivals(const ArrivalConfig& cfg, std::uint64_t seed) {
+  ChurnConfig cc;
+  cc.arrival_rate = cfg.arrival_rate;
+  cc.slots = cfg.arrival_slots;
+  cc.region_side = cfg.deploy.region_side;
+  return {core::System(uniformReaders(cfg.deploy, Rng(seed).split("readers")),
+                       {}),
+          makeChurnTrace(cc, 0, seed)};
+}
+
+/// Streams `a` through `scheduler`; `backlog` (optional) receives the unread
+/// coverable tags left after each busy slot.
+sched::StreamingResult run(Arrivals& a, sched::OneShotScheduler& scheduler,
+                           const ArrivalConfig& cfg,
+                           std::vector<int>* backlog = nullptr) {
+  sched::StreamingOptions opt;
+  opt.max_slots = cfg.arrival_slots + cfg.drain_slots;
+  if (backlog != nullptr) {
+    opt.on_commit = [&a, backlog](int, std::span<const int>,
+                                  std::span<const int>) {
+      backlog->push_back(a.sys.unreadCoverableCount());
+    };
   }
-  EXPECT_EQ(static_cast<int>(a.arrival_slot.size()), a.system.numTags());
+  return sched::runStreamingMcs(a.sys, scheduler, a.trace, opt);
+}
+
+int coverableArrivals(const sched::StreamingResult& res) {
+  return res.arrived - res.uncoverable;
+}
+
+TEST(Dynamic, InstanceIsDeterministicAndParked) {
+  const ArrivalConfig cfg = smallConfig();
+  const Arrivals a = makeArrivals(cfg, 11);
+  const Arrivals b = makeArrivals(cfg, 11);
+  EXPECT_EQ(a.trace.events, b.trace.events);
+  EXPECT_EQ(a.sys.numTags(), 0);
+  for (const ChurnEvent& e : a.trace.events) {
+    EXPECT_EQ(e.kind, ChurnKind::kArrive);
+  }
 }
 
 TEST(Dynamic, ArrivalSlotsWithinWindow) {
-  const DynamicConfig cfg = smallConfig();
-  const DynamicInstance inst = makeDynamicInstance(cfg, 12);
-  for (const int s : inst.arrival_slot) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, cfg.arrival_slots);
+  const ArrivalConfig cfg = smallConfig();
+  const Arrivals a = makeArrivals(cfg, 12);
+  for (const ChurnEvent& e : a.trace.events) {
+    EXPECT_GE(e.slot, 0);
+    EXPECT_LT(e.slot, cfg.arrival_slots);
   }
   // Poisson(8) over 10 slots: expect ~80 tags, loosely banded.
-  EXPECT_GT(inst.system.numTags(), 40);
-  EXPECT_LT(inst.system.numTags(), 140);
+  EXPECT_GT(a.trace.events.size(), 40u);
+  EXPECT_LT(a.trace.events.size(), 140u);
 }
 
 TEST(Dynamic, SimulationConservesTags) {
-  const DynamicConfig cfg = smallConfig();
-  DynamicInstance inst = makeDynamicInstance(cfg, 13);
+  const ArrivalConfig cfg = smallConfig();
+  Arrivals a = makeArrivals(cfg, 13);
   sched::HillClimbingScheduler ghc;
-  const DynamicResult res = runDynamicSimulation(inst, ghc, cfg);
-  EXPECT_EQ(res.arrived, inst.system.numTags());
-  EXPECT_LE(res.served, res.arrived_coverable);
+  std::vector<int> backlog;
+  const sched::StreamingResult res = run(a, ghc, cfg, &backlog);
+  EXPECT_EQ(res.arrived, a.sys.numTags());
+  EXPECT_LE(res.tags_read, coverableArrivals(res));
   EXPECT_TRUE(res.drained);
-  EXPECT_EQ(res.served, res.arrived_coverable);  // drained = all served
-  EXPECT_EQ(static_cast<int>(res.backlog.size()), res.slots_run);
+  EXPECT_EQ(res.tags_read, coverableArrivals(res));  // drained = all served
+  EXPECT_EQ(static_cast<int>(backlog.size()), res.slots);
+  EXPECT_EQ(res.stream_slots, res.slots + res.idle_slots);
 }
 
 TEST(Dynamic, LatencyIsNonNegativeAndBounded) {
-  const DynamicConfig cfg = smallConfig();
-  DynamicInstance inst = makeDynamicInstance(cfg, 14);
+  const ArrivalConfig cfg = smallConfig();
+  Arrivals a = makeArrivals(cfg, 14);
   sched::HillClimbingScheduler ghc;
-  const DynamicResult res = runDynamicSimulation(inst, ghc, cfg);
-  EXPECT_GE(res.mean_latency, 0.0);
-  EXPECT_LT(res.mean_latency, res.slots_run);
+  const sched::StreamingResult res = run(a, ghc, cfg);
+  EXPECT_GE(res.latency_mean, 0.0);
+  EXPECT_LT(res.latency_mean, res.stream_slots);
 }
 
 TEST(Dynamic, BacklogNeverExceedsPresentTags) {
-  const DynamicConfig cfg = smallConfig();
-  DynamicInstance inst = makeDynamicInstance(cfg, 15);
+  const ArrivalConfig cfg = smallConfig();
+  Arrivals a = makeArrivals(cfg, 15);
   sched::HillClimbingScheduler ghc;
-  const DynamicResult res = runDynamicSimulation(inst, ghc, cfg);
-  EXPECT_LE(res.max_backlog, res.arrived);
-  EXPECT_GT(res.max_backlog, 0);
+  const sched::StreamingResult res = run(a, ghc, cfg);
+  EXPECT_LE(res.backlog_peak, res.arrived);
+  EXPECT_GT(res.backlog_peak, 0);
 }
 
 TEST(Dynamic, HigherRateMeansMoreBacklog) {
-  DynamicConfig low = smallConfig();
-  DynamicConfig high = smallConfig();
+  ArrivalConfig low = smallConfig();
+  ArrivalConfig high = smallConfig();
   high.arrival_rate = 40.0;
-  DynamicInstance a = makeDynamicInstance(low, 16);
-  DynamicInstance b = makeDynamicInstance(high, 16);
+  Arrivals a = makeArrivals(low, 16);
+  Arrivals b = makeArrivals(high, 16);
   sched::HillClimbingScheduler ghc1, ghc2;
-  const DynamicResult ra = runDynamicSimulation(a, ghc1, low);
-  const DynamicResult rb = runDynamicSimulation(b, ghc2, high);
-  EXPECT_GT(rb.max_backlog, ra.max_backlog);
+  const sched::StreamingResult ra = run(a, ghc1, low);
+  const sched::StreamingResult rb = run(b, ghc2, high);
+  EXPECT_GT(rb.backlog_peak, ra.backlog_peak);
 }
 
 TEST(Dynamic, ZeroArrivalRateIsSafeAndEmpty) {
   // poisson(0) is UB in the raw distribution; the generator must treat a
-  // zero rate as "no arrivals", and the simulation must cope with an empty
+  // zero rate as "no arrivals", and the stream must cope with an empty
   // field (no served tags, latency defined as 0, immediate drain).
-  DynamicConfig cfg = smallConfig();
+  ArrivalConfig cfg = smallConfig();
   cfg.arrival_rate = 0.0;
-  DynamicInstance inst = makeDynamicInstance(cfg, 18);
-  EXPECT_EQ(inst.system.numTags(), 0);
+  Arrivals a = makeArrivals(cfg, 18);
+  EXPECT_TRUE(a.trace.empty());
   sched::HillClimbingScheduler ghc;
-  const DynamicResult res = runDynamicSimulation(inst, ghc, cfg);
+  const sched::StreamingResult res = run(a, ghc, cfg);
   EXPECT_EQ(res.arrived, 0);
-  EXPECT_EQ(res.served, 0);
-  EXPECT_EQ(res.mean_latency, 0.0);
+  EXPECT_EQ(res.tags_read, 0);
+  EXPECT_EQ(res.latency_mean, 0.0);
   EXPECT_TRUE(res.drained);
-  EXPECT_LE(res.slots_run, cfg.arrival_slots + 1);
+  EXPECT_LE(res.stream_slots, cfg.arrival_slots + 1);
 }
 
 TEST(Dynamic, AllUncoverableArrivalsDrainWithoutService) {
   // Every arrival lands outside the lone reader's interrogation disk: the
-  // loop must neither serve nor stall forever, and mean_latency must stay
-  // defined at served == 0.
+  // loop must neither serve nor stall forever, and latency_mean must stay
+  // defined at tags_read == 0.
   std::vector<core::Reader> readers;
   core::Reader r;
   r.pos = {0.0, 0.0};
   r.interference_radius = 2.0;
   r.interrogation_radius = 1.0;
   readers.push_back(r);
-  std::vector<core::Tag> tags;
-  std::vector<int> arrival;
+  ChurnTrace trace;
   for (int i = 0; i < 6; ++i) {
-    core::Tag t;
-    t.id = i;
-    t.pos = {100.0 + i, 100.0};  // far outside coverage
-    tags.push_back(t);
-    arrival.push_back(i % 3);
+    ChurnEvent e;
+    e.slot = i / 2;
+    e.pos = {100.0 + i, 100.0};  // far outside coverage
+    e.epc = static_cast<std::uint64_t>(i);
+    trace.events.push_back(e);
   }
-  DynamicInstance inst{core::System(std::move(readers), std::move(tags)),
-                       std::move(arrival)};
-  for (int t = 0; t < inst.system.numTags(); ++t) inst.system.markRead(t);
+  trace.horizon = 3;
+  Arrivals a{core::System(std::move(readers), {}), std::move(trace)};
 
-  DynamicConfig cfg;
+  ArrivalConfig cfg;
   cfg.arrival_slots = 3;
   cfg.drain_slots = 5;
   sched::HillClimbingScheduler ghc;
-  const DynamicResult res = runDynamicSimulation(inst, ghc, cfg);
+  const sched::StreamingResult res = run(a, ghc, cfg);
   EXPECT_EQ(res.arrived, 6);
-  EXPECT_EQ(res.arrived_coverable, 0);
-  EXPECT_EQ(res.served, 0);
-  EXPECT_EQ(res.mean_latency, 0.0);
-  EXPECT_EQ(res.max_backlog, 0);
+  EXPECT_EQ(coverableArrivals(res), 0);
+  EXPECT_EQ(res.tags_read, 0);
+  EXPECT_EQ(res.latency_mean, 0.0);
+  EXPECT_EQ(res.backlog_peak, 0);
   EXPECT_TRUE(res.drained);
-  EXPECT_LE(res.slots_run, cfg.arrival_slots + 1);
+  EXPECT_LE(res.stream_slots, cfg.arrival_slots + 1);
 }
 
 TEST(Dynamic, WorksWithGraphBasedScheduler) {
-  const DynamicConfig cfg = smallConfig();
-  DynamicInstance inst = makeDynamicInstance(cfg, 17);
-  const graph::InterferenceGraph g(inst.system);
+  const ArrivalConfig cfg = smallConfig();
+  Arrivals a = makeArrivals(cfg, 17);
+  const graph::InterferenceGraph g(a.sys);
   sched::GrowthScheduler alg2(g);
-  const DynamicResult res = runDynamicSimulation(inst, alg2, cfg);
+  const sched::StreamingResult res = run(a, alg2, cfg);
   EXPECT_TRUE(res.drained);
-  EXPECT_EQ(res.served, res.arrived_coverable);
+  EXPECT_EQ(res.tags_read, coverableArrivals(res));
 }
 
 }  // namespace

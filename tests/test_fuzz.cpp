@@ -19,29 +19,38 @@
 namespace rfid {
 namespace {
 
-/// Invariants of a single slot outcome.
+/// Invariants of a single slot outcome (`channel`: the proposal's channels,
+/// empty for the single-channel model).
 void checkSlotInvariants(const core::System& sys, std::span<const int> active,
+                         std::span<const int> channel,
                          std::span<const int> served) {
   // Served tags are unread, covered by exactly one active reader, and that
-  // reader is not an RTc victim — re-derived from first principles here,
-  // independently of System's implementation.
+  // reader is not an RTc victim of a same-channel active reader —
+  // re-derived from first principles here, independently of System's
+  // implementation.
+  const auto chan = [&](std::size_t i) {
+    return channel.empty() ? 0 : channel[i];
+  };
   for (const int t : served) {
     ASSERT_FALSE(sys.isRead(t));
     int coverers = 0;
-    int owner = -1;
-    for (const int v : active) {
-      const std::vector<int> cov = test::coveredTags(sys, v);
+    std::size_t owner = 0;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const std::vector<int> cov = test::coveredTags(sys, active[i]);
       if (std::binary_search(cov.begin(), cov.end(), t)) {
         ++coverers;
-        owner = v;
+        owner = i;
       }
     }
     ASSERT_EQ(coverers, 1) << "tag " << t;
-    for (const int u : active) {
-      if (u == owner) continue;
-      const double ru = sys.reader(u).interference_radius;
-      ASSERT_GT(geom::dist(sys.reader(owner).pos, sys.reader(u).pos), ru)
-          << "owner " << owner << " is an RTc victim of " << u;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      if (i == owner || chan(i) != chan(owner)) continue;
+      const double ru = sys.reader(active[i]).interference_radius;
+      ASSERT_GT(geom::dist(sys.reader(active[owner]).pos,
+                           sys.reader(active[i]).pos),
+                ru)
+          << "owner " << active[owner] << " is an RTc victim of "
+          << active[i];
     }
   }
   // No duplicates in the active set.
@@ -71,16 +80,12 @@ TEST_P(FuzzSweep, AllSchedulersSatisfySlotInvariants) {
     // Run several slots, mutating read state, checking each outcome.
     for (int slot = 0; slot < 4; ++slot) {
       const sched::OneShotResult one = s->schedule(sys);
-      const auto served = sys.wellCoveredTags(one.readers);
-      checkSlotInvariants(sys, one.readers, served);
-      // MC reports the *channeled* weight (same-channel-only RTc), which
-      // legitimately exceeds the single-channel referee's count; all other
-      // schedulers must agree with the referee exactly.
-      if (s != &mc) {
-        ASSERT_EQ(one.weight, static_cast<int>(served.size())) << s->name();
-      } else {
-        ASSERT_GE(one.weight, static_cast<int>(served.size()));
-      }
+      // MC's proposals carry their channels: the channel-aware referee
+      // counts them, and its claimed weight must match that count exactly.
+      const auto served =
+          sched::wellCoveredTagsChanneled(sys, one.readers, one.channel);
+      checkSlotInvariants(sys, one.readers, one.channel, served);
+      ASSERT_EQ(one.weight, static_cast<int>(served.size())) << s->name();
       sys.markRead(served);
     }
   }

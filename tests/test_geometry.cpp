@@ -2,6 +2,8 @@
 // spatial grid checked property-style against brute force.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "geometry/disk.h"
 #include "geometry/spatial_grid.h"
 #include "geometry/vec2.h"
@@ -127,6 +129,29 @@ TEST_P(SpatialGridProperty, MatchesBruteForce) {
     }
     EXPECT_EQ(grid.queryDisk(c, r), expected)
         << "cell=" << cell << " query " << q;
+  }
+}
+
+// Radii up to 10⁶ cell widths: a disk whose box spans more cells than the
+// grid occupies is answered from the occupied cells, with the same sorted
+// result as the brute-force scan.
+TEST_P(SpatialGridProperty, HugeRadiiMatchBruteForce) {
+  const double cell = GetParam();
+  workload::Rng rng(54321);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 200; ++i) {
+    pts.push_back({rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)});
+  }
+  const SpatialGrid grid(pts, cell);
+  for (int q = 0; q < 60; ++q) {
+    const Vec2 c{rng.uniform(-80.0, 80.0), rng.uniform(-80.0, 80.0)};
+    const double r = cell * std::pow(10.0, rng.uniform(-1.0, 6.0));
+    std::vector<int> expected;
+    for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+      if (dist2(pts[static_cast<std::size_t>(i)], c) <= r * r) expected.push_back(i);
+    }
+    EXPECT_EQ(grid.queryDisk(c, r), expected)
+        << "cell=" << cell << " radius=" << r << " query " << q;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "distributed/kcoloring.h"
+#include "sched/mcs.h"
 #include "test_helpers.h"
 
 namespace rfid::dist {
@@ -11,7 +12,7 @@ namespace {
 TEST(KColoring, ActivatesEveryoneWithinPalette) {
   const core::System sys = test::smallRandomSystem(1, 20, 120, 50.0);
   KColoringScheduler kc(sys, 4, 1);
-  const sched::ChanneledResult res = kc.scheduleChanneled(sys);
+  const sched::OneShotResult res = kc.schedule(sys);
   EXPECT_EQ(static_cast<int>(res.readers.size()), sys.numReaders());
   for (const int c : res.channel) {
     EXPECT_GE(c, 0);
@@ -22,7 +23,7 @@ TEST(KColoring, ActivatesEveryoneWithinPalette) {
 TEST(KColoring, WeightMatchesChanneledReferee) {
   const core::System sys = test::smallRandomSystem(2, 18, 110, 50.0);
   KColoringScheduler kc(sys, 4, 2);
-  const sched::ChanneledResult res = kc.scheduleChanneled(sys);
+  const sched::OneShotResult res = kc.schedule(sys);
   EXPECT_EQ(res.weight,
             static_cast<int>(sched::wellCoveredTagsChanneled(
                                  sys, res.readers, res.channel)
@@ -34,7 +35,7 @@ TEST(KColoring, EnoughChannelsConverge) {
   // protocol should settle into a proper coloring.
   const core::System sys = test::smallRandomSystem(3, 15, 60, 60.0);
   KColoringScheduler kc(sys, 32, 3);
-  (void)kc.scheduleChanneled(sys);
+  (void)kc.schedule(sys);
   EXPECT_TRUE(kc.converged());
 }
 
@@ -43,8 +44,8 @@ TEST(KColoring, MoreChannelsMoreWeightOnBatch) {
   for (const std::uint64_t seed : {4u, 5u, 6u}) {
     const core::System sys = test::smallRandomSystem(seed, 20, 130, 45.0);
     KColoringScheduler a(sys, 2, seed), b(sys, 8, seed);
-    w2 += a.scheduleChanneled(sys).weight;
-    w8 += b.scheduleChanneled(sys).weight;
+    w2 += a.schedule(sys).weight;
+    w8 += b.schedule(sys).weight;
   }
   EXPECT_GE(w8, w2);
 }
@@ -54,7 +55,7 @@ TEST(KColoring, RrcBlindSpotLeavesOverlapTagsUnread) {
   // invisible to pure channel assignment — all readers are always on.
   core::System sys = test::figure2System();
   KColoringScheduler kc(sys, 8, 7);
-  const auto res = kc.scheduleChanneled(sys);
+  const auto res = kc.schedule(sys);
   const auto served =
       sched::wellCoveredTagsChanneled(sys, res.readers, res.channel);
   // Tags 2 and 3 (indices 1, 2) sit in overlaps and cannot be served.
@@ -65,12 +66,13 @@ TEST(KColoring, RrcBlindSpotLeavesOverlapTagsUnread) {
 }
 
 TEST(KColoring, ChanneledMcsReportsHonestIncompleteness) {
-  // With overlap tags unreachable, the channeled MCS driver must stop and
-  // report incompleteness rather than loop forever.
+  // With overlap tags unreachable, the MCS driver must stop and report
+  // incompleteness rather than loop forever.
   core::System sys = test::figure2System();
   KColoringScheduler kc(sys, 8, 8);
-  const sched::ChanneledMcsResult res =
-      sched::runChanneledCoveringSchedule(sys, kc, 2000);
+  sched::McsOptions opt;
+  opt.max_slots = 2000;
+  const sched::McsResult res = sched::runCoveringSchedule(sys, kc, opt);
   EXPECT_FALSE(res.completed);
   EXPECT_EQ(res.tags_read, 3);
 }

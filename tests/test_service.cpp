@@ -396,6 +396,29 @@ TEST(ServiceEndToEnd, SubmitRunsToValidCompletion) {
   EXPECT_TRUE(rep.clean());
 }
 
+TEST(ServiceEndToEnd, MultiChannelRequestCompletesThePaperDefault) {
+  // An algo mc request's proposals carry their channels, so the service's
+  // MCS run referees them in the channel model: the paper-default
+  // deployment (seed 1) is covered in the slots rfidsched_cli prints.
+  ServiceOptions opt;
+  opt.workers = 1;
+  Service svc(opt);
+  svc.start();
+  RequestSpec spec;
+  spec.id = "mc";
+  spec.algo = "mc";
+  spec.checkpoint = false;
+  Response reject;
+  auto t = svc.submit(std::move(spec), &reject);
+  ASSERT_NE(t, nullptr) << codeName(reject.code);
+  const Response r = t->wait();
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.slots, 3);
+  EXPECT_EQ(r.tags_read, 315);
+  EXPECT_TRUE(svc.drain(1000).clean());
+}
+
 TEST(ServiceEndToEnd, MaxSlotsBoundsTheRunAndStaysOk) {
   ServiceOptions opt;
   opt.workers = 1;

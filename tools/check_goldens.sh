@@ -60,6 +60,12 @@ sed -E 's/"([a-zA-Z0-9_.]+_us)": \{[^}]*\}/"\1": {}/' \
 "$cli" --load "$golden/deploy.csv" --algo alg2 --mode mcs --check \
   --threads 1 --link gen2 > gen2_stdout.txt
 
+# The multi-channel scheduler through the same MCS driver, oracle armed with
+# no exemption: its proposals carry their channels, which the referee and
+# the validator both honor.
+"$cli" --load "$golden/deploy.csv" --algo mc --mode mcs --check \
+  > mc_stdout.txt
+
 if [ "$mode" = "--update" ]; then
   cp stdout.txt "$golden/cli_stdout.txt"
   cp metrics.normalized.json "$golden/cli_metrics.json"
@@ -67,6 +73,7 @@ if [ "$mode" = "--update" ]; then
   cp cost.json "$golden/cli_cost.json"
   cp report.txt "$golden/cli_report.txt"
   cp gen2_stdout.txt "$golden/cli_gen2_stdout.txt"
+  cp mc_stdout.txt "$golden/cli_mc_stdout.txt"
   echo "goldens updated in $golden"
   exit 0
 fi
@@ -77,7 +84,8 @@ for pair in "stdout.txt cli_stdout.txt" \
             "events.normalized.jsonl cli_events.jsonl" \
             "cost.json cli_cost.json" \
             "report.txt cli_report.txt" \
-            "gen2_stdout.txt cli_gen2_stdout.txt"; do
+            "gen2_stdout.txt cli_gen2_stdout.txt" \
+            "mc_stdout.txt cli_mc_stdout.txt"; do
   set -- $pair
   if ! diff -u "$golden/$2" "$1"; then
     echo "golden mismatch: $2 (ran: $1)" >&2

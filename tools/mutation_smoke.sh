@@ -19,7 +19,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 scratch="${1:-$(mktemp -d /tmp/rfidsched-mutants.XXXXXX)}"
 mkdir -p "$scratch"
 
-# Four runs per tree, and a mutant is caught if any exits 5:
+# Five runs per tree, and a mutant is caught if any exits 5:
 #
 #  * a generated instance — small enough to build+run in seconds, big enough
 #    that every mutated code path executes.  GHC keeps the search cheap even
@@ -56,6 +56,11 @@ overlap_args="--load $overlap_csv --algo ghc --mode mcs --check"
 # accounting, double acks, and session-persistence windows, escalated to
 # exit 5 under --check.  Only this run executes src/protocol/gen2.cpp.
 gen2_args="--algo ghc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check --link gen2"
+# The multi-channel scheduler: its proposals carry channels, so the slot
+# step referees them with wellCoveredTagsChanneled and the oracle re-derives
+# same-channel-only RTc from geometry.  Only this run executes the
+# channeled referee.
+mc_args="--algo mc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check"
 
 # name|file|pattern|replacement  (POSIX basic regexps for sed/grep -c)
 mutants=(
@@ -85,6 +90,12 @@ mutants=(
   # a collision, so no tag is ever identified; the round burns its frame cap,
   # reports incomplete, and the replay check exits 5.  Deterministic, no UB.
   "gen2-mpr-threshold-off|src/protocol/gen2.cpp|static_cast<int>(b.size()) <= k|static_cast<int>(b.size()) < k"
+  # Channel-blind RTc: the channeled referee victimizes readers on *other*
+  # channels too, the multi-channel bug this referee exists to prevent.
+  # The mc run's slots serve, and its scheduler claims, fewer tags than
+  # geometry dictates: the oracle's served-set and claimed-weight checks
+  # exit 5.
+  "channel-blind-rtc|src/sched/channels.cpp|channel\[i\] != channel\[j\]) continue;|false) continue;"
 )
 
 run_cli() {
@@ -103,7 +114,7 @@ build_and_check() {
     -DRFIDSCHED_BUILD_TESTS=OFF -DRFIDSCHED_BUILD_BENCH=OFF \
     -DRFIDSCHED_BUILD_EXAMPLES=OFF > /dev/null
   cmake --build "$tree/build" --target rfidsched_cli -j > /dev/null
-  local g1 g2 g3 g4
+  local g1 g2 g3 g4 g5
   g1=$(run_cli "$tree" "$gen_args")
   local why="$(tail -1 "$tree/stderr.txt")"
   g2=$(run_cli "$tree" "$overlap_args")
@@ -112,22 +123,25 @@ build_and_check() {
   [ "$g3" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
   g4=$(run_cli "$tree" "$gen2_args")
   [ "$g4" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
-  case "$g1$g2$g3$g4" in *[!05]*)
-    echo "FAIL [$label]: unexpected exits gen=$g1 overlap=$g2 stream=$g3 gen2=$g4" >&2
+  g5=$(run_cli "$tree" "$mc_args")
+  [ "$g5" -eq 5 ] && why="$(tail -1 "$tree/stderr.txt")"
+  local exits="gen=$g1 overlap=$g2 stream=$g3 gen2=$g4 mc=$g5"
+  case "$g1$g2$g3$g4$g5" in *[!05]*)
+    echo "FAIL [$label]: unexpected exits $exits" >&2
     sed 's/^/    /' "$tree/stderr.txt" >&2
     return 1
   esac
   if [ "$want" -eq 5 ]; then
-    if [ "$g1" -ne 5 ] && [ "$g2" -ne 5 ] && [ "$g3" -ne 5 ] && [ "$g4" -ne 5 ]; then
-      echo "FAIL [$label]: mutant escaped (gen=$g1 overlap=$g2 stream=$g3 gen2=$g4)" >&2
+    case "$g1$g2$g3$g4$g5" in *5*) ;; *)
+      echo "FAIL [$label]: mutant escaped ($exits)" >&2
       return 1
-    fi
-  elif [ "$g1" -ne 0 ] || [ "$g2" -ne 0 ] || [ "$g3" -ne 0 ] || [ "$g4" -ne 0 ]; then
-    echo "FAIL [$label]: clean tree flagged (gen=$g1 overlap=$g2 stream=$g3 gen2=$g4)" >&2
+    esac
+  elif [ "$g1$g2$g3$g4$g5" != 00000 ]; then
+    echo "FAIL [$label]: clean tree flagged ($exits)" >&2
     sed 's/^/    /' "$tree/stderr.txt" >&2
     return 1
   fi
-  echo "ok   [$label]: gen=$g1 overlap=$g2 stream=$g3 gen2=$g4 ($why)"
+  echo "ok   [$label]: $exits ($why)"
 }
 
 copy_tree() {

@@ -601,20 +601,20 @@ int main(int argc, char** argv) {
   }
 
   // The invariant oracle.  Expectations are per-algorithm: Colorwave's raw
-  // color classes and the multi-channel scheduler legitimately propose
-  // infeasible (single-channel) sets, the multi-channel weight is scored on
-  // its own channel model, and schedulers that stall pre-convergence or run
-  // over a lossy control plane are exempt from the strict greedy-progress
-  // postcondition.  Verdicts print to stderr so stdout stays byte-identical
+  // color classes legitimately propose infeasible sets, and schedulers that
+  // stall pre-convergence or run over a lossy control plane are exempt from
+  // the strict greedy-progress postcondition.  The multi-channel scheduler's
+  // proposals carry their channels, so the oracle judges its feasibility
+  // and weight in its own channel model.  Verdicts print to stderr so stdout stays byte-identical
   // to an unchecked run.
   check::ScheduleValidator validator = [&]() {
     check::CheckOptions co;
     co.level = cli.check_paranoid ? check::CheckLevel::kParanoid
                                   : check::CheckLevel::kNormal;
-    co.expect_feasible = cli.algo != "ca" && cli.algo != "mc";
+    co.expect_feasible = cli.algo != "ca";
     const bool lossy_control =
         channel != nullptr && (cli.algo == "alg3" || cli.algo == "ca");
-    co.expect_exact_weight = cli.algo != "mc" && !lossy_control;
+    co.expect_exact_weight = !lossy_control;
     co.expect_progress = cli.algo == "alg1" || cli.algo == "alg2" ||
                          cli.algo == "ghc" || cli.algo == "exact" ||
                          (cli.algo == "alg3" && channel == nullptr);
@@ -768,7 +768,8 @@ int main(int argc, char** argv) {
       // One decision, validated like one slot: CSR audit, feasibility and
       // claimed weight from raw geometry, served set by the naive scan.
       if (validator.beginRun(sys)) {
-        const std::vector<int> served = sys.wellCoveredTags(res.readers);
+        const std::vector<int> served =
+            sched::wellCoveredTagsChanneled(sys, res.readers, res.channel);
         validator.checkSlot(sys, 0, res, res.readers, {}, served);
       }
       check_failed = !validator.ok();
