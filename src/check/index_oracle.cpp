@@ -18,9 +18,9 @@ IncrementalIndexOracle::Expected IncrementalIndexOracle::expectedFingerprints(
     const core::System& sys) const {
   const int n = sys.numReaders();
   const int m = sys.numTags();
-  // Both coverage directions from positions and radii alone — a plain
-  // O(n·m) distance scan sharing nothing with the incremental splices or
-  // the spatial grid, so a bug in either cannot hide here.
+  // Both coverage directions from positions and radii alone — the oracle's
+  // own bucket grid, sharing nothing with the incremental splices or the
+  // spatial grid, so a bug in either cannot hide here.
   const GeometricCoverage geo = geometricCoverage(sys);
   Expected e;
   e.csr = core::System::fingerprintArrays(geo.covr_off, geo.covr_idx);
@@ -112,7 +112,7 @@ IndexVerdict IncrementalIndexOracle::verify(core::System& sys, int slot) {
     }
     return IndexVerdict::kHealed;
   }
-  // Even a from-scratch rebuild disagrees with the naive scan: the two
+  // Even a from-scratch rebuild disagrees with the geometry rebuild: the two
   // geometry readings themselves are inconsistent.  Nothing to heal with.
   issues_.push_back({slot, "index.heal-failed",
                      "rebuilt index still disagrees with the geometry scan"});

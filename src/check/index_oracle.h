@@ -8,9 +8,10 @@
 // schedulers compute from then on.  The IncrementalIndexOracle closes that
 // hole the same way check/invariants.h does for slots: periodically
 // rebuild the expected index from *raw geometry* — check::geometricCoverage,
-// a naive O(n·m) reader×tag distance scan that shares no code with the
-// incremental splices or the spatial grid — and compare FNV fingerprints
-// against the live index.
+// which enumerates candidate reader×tag pairs from the oracle's own bucket
+// grid (check/bucket_grid.h, O(n + m + local pairs)) and shares no code
+// with the incremental splices, the spatial grid or the bitmap rows — and
+// compare FNV fingerprints against the live index.
 //
 // On a divergence the oracle fails the incremental path closed: it records
 // the issue, bumps `check.index_divergence`, switches itself to paranoid

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "check/bucket_grid.h"
 #include "fault/fault_plan.h"
 #include "geometry/vec2.h"
 #include "obs/timer.h"
@@ -39,21 +40,107 @@ std::string joinInts(std::span<const int> xs, std::size_t cap = 8) {
   return os.str();
 }
 
+/// `readers` bucketed by position in cells as wide as their largest
+/// interference radius, so one query at `reach` finds every reader that can
+/// conflict with a given one: both Definition 2 and RTc are bounded by R.
+struct ReaderGrid {
+  double reach = 0.0;
+  BucketGrid grid;
+};
+
+ReaderGrid readerGrid(const core::System& sys, std::span<const int> readers) {
+  double reach = 0.0;
+  std::vector<geom::Vec2> pos;
+  pos.reserve(readers.size());
+  for (const int v : readers) {
+    reach = std::max(reach, sys.reader(v).interference_radius);
+    pos.push_back(sys.reader(v).pos);
+  }
+  return {reach, BucketGrid(pos, reach)};
+}
+
+/// One slot's radiators as per-reader marks for the exactly-one walk.  The
+/// first `live_chan.size()` entries of `rad` are live readers on those
+/// channels; the rest jam.  A live reader is an RTc victim when another
+/// radiator's interference disk holds it and that radiator shares its
+/// channel or jams (a stuck transmitter is channel-blind).
+struct RadiatorMarks {
+  std::vector<int> count;    // reader → multiplicity among the radiators
+  std::vector<int> live_at;  // reader → first index among the live, or -1
+  std::vector<char> victim;  // live index → RTc victim
+
+  /// Definition 1 for one tag: exactly one radiator covers it (RRc counts
+  /// victims and jammers too), and that one is a live non-victim.
+  bool serves(std::span<const int> coverers) const {
+    int mult = 0;
+    int only = -1;
+    for (const int v : coverers) {
+      const int c = count[static_cast<std::size_t>(v)];
+      if (c != 0) {
+        mult += c;
+        only = v;
+      }
+    }
+    if (mult != 1) return false;
+    const int i = live_at[static_cast<std::size_t>(only)];
+    return i >= 0 && victim[static_cast<std::size_t>(i)] == 0;
+  }
+};
+
+RadiatorMarks radiatorMarks(const core::System& sys, std::span<const int> rad,
+                            std::span<const int> live_chan) {
+  const auto n = static_cast<std::size_t>(sys.numReaders());
+  const std::size_t live = live_chan.size();
+  RadiatorMarks k;
+  k.count.assign(n, 0);
+  k.live_at.assign(n, -1);
+  k.victim.assign(live, 0);
+  for (const int v : rad) ++k.count[static_cast<std::size_t>(v)];
+  for (std::size_t i = live; i-- > 0;) {
+    k.live_at[static_cast<std::size_t>(rad[i])] = static_cast<int>(i);
+  }
+  const ReaderGrid g = readerGrid(sys, rad);
+  for (std::size_t i = 0; i < live; ++i) {
+    const core::Reader& u = sys.reader(rad[i]);
+    g.grid.forEachNear(u.pos, g.reach, [&](std::size_t j) {
+      if (j != i && (j >= live || live_chan[j] == live_chan[i]) &&
+          victimizes(sys.reader(rad[j]), u)) {
+        k.victim[i] = 1;
+      }
+    });
+  }
+  return k;
+}
+
 }  // namespace
 
 GeometricCoverage geometricCoverage(const core::System& sys) {
   const auto n = static_cast<std::size_t>(sys.numReaders());
   const auto m = static_cast<std::size_t>(sys.numTags());
+  // Readers bucketed by the largest interrogation radius: a tag's possible
+  // coverers sit in the cells its γ_max box overlaps, and the exact
+  // inclusive test picks them out.
+  double reach = 0.0;
+  std::vector<geom::Vec2> pos;
+  pos.reserve(n);
+  for (const core::Reader& r : sys.readers()) {
+    reach = std::max(reach, r.interrogation_radius);
+    pos.push_back(r.pos);
+  }
+  const BucketGrid grid(pos, reach);
   GeometricCoverage g;
   g.covr_off.assign(m + 1, 0);
   for (std::size_t t = 0; t < m; ++t) {
     if (!sys.departed(static_cast<int>(t))) {
       const core::Tag& tag = sys.tag(static_cast<int>(t));
-      for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t first = g.covr_idx.size();
+      grid.forEachNear(tag.pos, reach, [&](std::size_t v) {
         if (coversGeom(sys.reader(static_cast<int>(v)), tag)) {
           g.covr_idx.push_back(static_cast<int>(v));
         }
-      }
+      });
+      std::sort(g.covr_idx.begin() + static_cast<std::ptrdiff_t>(first),
+                g.covr_idx.end());
     }
     g.covr_off[t + 1] = static_cast<int>(g.covr_idx.size());
   }
@@ -88,27 +175,15 @@ void ScheduleValidator::flag(int slot, std::string invariant,
   }
 }
 
-bool ScheduleValidator::covers(const core::System& sys, int reader,
-                               int tag) const {
-  return coversGeom(sys.reader(reader), sys.tag(tag));
-}
-
-int ScheduleValidator::shadowCoverableCount(const core::System& sys) const {
+int ScheduleValidator::shadowCoverableCount() const {
   int n = 0;
-  for (int t = 0; t < sys.numTags(); ++t) {
-    if (shadow_[static_cast<std::size_t>(t)] != 0) continue;
-    for (int v = 0; v < sys.numReaders(); ++v) {
-      if (covers(sys, v, t)) {
-        ++n;
-        break;
-      }
-    }
+  for (std::size_t t = 0; t < shadow_.size(); ++t) {
+    if (shadow_[t] == 0 && !geo_.coverers(static_cast<int>(t)).empty()) ++n;
   }
   return n;
 }
 
-bool ScheduleValidator::unservableForever(const core::System& sys, int tag,
-                                          int slot) const {
+bool ScheduleValidator::allOrphaned(const core::System& sys, int slot) const {
   // Mirror of the driver's orphan predicate (sched/mcs.cpp countOrphans),
   // recomputed from geometry: a tag is unservable forever when
   //   1. it sits in a permanently-loud reader's interrogation disk (its
@@ -116,41 +191,62 @@ bool ScheduleValidator::unservableForever(const core::System& sys, int tag,
   //      future slot); otherwise
   //   2. every geometric coverer is permanently dead or permanently
   //      victimized by a loud-dead reader's stuck transmitter.
+  // The loud-dead readers are collected once, and a grid over them finds
+  // the readers they jam forever.
   const fault::FaultPlan& plan = *opt_.faults;
-  for (int j = 0; j < sys.numReaders(); ++j) {
-    if (plan.permanentlyDead(j, slot) && plan.loud(j, slot) &&
-        covers(sys, j, tag)) {
-      return true;
+  const auto n = static_cast<std::size_t>(sys.numReaders());
+  std::vector<char> dead(n, 0);
+  std::vector<char> loud_dead(n, 0);
+  std::vector<int> loud;
+  for (std::size_t j = 0; j < n; ++j) {
+    const int v = static_cast<int>(j);
+    dead[j] = plan.permanentlyDead(v, slot) ? 1 : 0;
+    if (dead[j] != 0 && plan.loud(v, slot)) {
+      loud_dead[j] = 1;
+      loud.push_back(v);
     }
   }
-  for (int v = 0; v < sys.numReaders(); ++v) {
-    if (!covers(sys, v, tag)) continue;
-    if (plan.permanentlyDead(v, slot)) continue;
-    bool victim_forever = false;
-    for (int j = 0; j < sys.numReaders(); ++j) {
-      if (j != v && plan.permanentlyDead(j, slot) && plan.loud(j, slot) &&
-          victimizes(sys.reader(j), sys.reader(v))) {
-        victim_forever = true;
-        break;
+  std::vector<char> jammed(n, 0);
+  const ReaderGrid g = readerGrid(sys, loud);
+  for (std::size_t v = 0; v < n; ++v) {
+    const core::Reader& u = sys.reader(static_cast<int>(v));
+    g.grid.forEachNear(u.pos, g.reach, [&](std::size_t j) {
+      if (static_cast<std::size_t>(loud[j]) != v &&
+          victimizes(sys.reader(loud[j]), u)) {
+        jammed[v] = 1;
       }
+    });
+  }
+  const auto unservableForever = [&](std::span<const int> cov) {
+    for (const int v : cov) {
+      if (loud_dead[static_cast<std::size_t>(v)] != 0) return true;
     }
-    if (!victim_forever) return false;  // v can still serve `tag`
+    for (const int v : cov) {
+      const auto u = static_cast<std::size_t>(v);
+      if (dead[u] == 0 && jammed[u] == 0) return false;  // v can still serve
+    }
+    return true;
+  };
+  for (std::size_t t = 0; t < shadow_.size(); ++t) {
+    const std::span<const int> cov = geo_.coverers(static_cast<int>(t));
+    if (shadow_[t] == 0 && !cov.empty() && !unservableForever(cov)) {
+      return false;
+    }
   }
   return true;
 }
 
 bool ScheduleValidator::beginRun(const core::System& sys) {
-  const auto n = static_cast<std::size_t>(sys.numTags());
-  const auto m = static_cast<std::size_t>(sys.numReaders());
+  const auto n = static_cast<std::size_t>(sys.numReaders());
+  const auto m = static_cast<std::size_t>(sys.numTags());
   begun_ = true;
   slots_checked_ = 0;
-  tags_scanned_ = 0;
   trailing_stall_ = 0;
   sum_served_ = 0;
-  shadow_.assign(n, 0);
+  shadow_.assign(m, 0);
   trusted_from_.clear();
   const bool faulty = opt_.faults != nullptr && !opt_.faults->empty();
-  if (faulty && opt_.reprobe_interval > 0) trusted_from_.assign(m, 0);
+  if (faulty && opt_.reprobe_interval > 0) trusted_from_.assign(n, 0);
   if (opt_.metrics != nullptr) {
     c_slots_ = &opt_.metrics->counter("check.slots_checked");
     c_violations_ = &opt_.metrics->counter("check.violations");
@@ -161,7 +257,7 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
   // positions — never the coverage index we are about to audit.
   initial_unread_ = 0;
   initial_uncoverable_ = 0;
-  for (std::size_t t = 0; t < n; ++t) {
+  for (std::size_t t = 0; t < m; ++t) {
     shadow_[t] = sys.isRead(static_cast<int>(t)) ? 1 : 0;
     if (shadow_[t] == 0) ++initial_unread_;
   }
@@ -169,11 +265,13 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
   // One-time index audit: both coverage directions, read through the public
   // accessors, must equal the geometric ground truth, list for list.  A
   // corrupted offset, index or bitmap word (the off-by-one and row-decode
-  // mutant classes) is caught here, before a single slot runs.
-  const GeometricCoverage geo = geometricCoverage(sys);
+  // mutant classes) is caught here, before a single slot runs.  The rows
+  // stay for the run: positions do not move, and every later coverage
+  // question (served sets, censuses, orphans) walks them.
+  geo_ = geometricCoverage(sys);
   std::vector<int> decoded;
-  for (std::size_t v = 0; v < m; ++v) {
-    const std::span<const int> expect = geo.coveredTags(static_cast<int>(v));
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::span<const int> expect = geo_.coveredTags(static_cast<int>(v));
     sys.coveredTags(static_cast<int>(v), decoded);
     if (!std::equal(expect.begin(), expect.end(), decoded.begin(),
                     decoded.end())) {
@@ -183,8 +281,8 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
                joinInts(decoded));
     }
   }
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::span<const int> expect = geo.coverers(static_cast<int>(t));
+  for (std::size_t t = 0; t < m; ++t) {
+    const std::span<const int> expect = geo_.coverers(static_cast<int>(t));
     if (expect.empty() && shadow_[t] == 0) ++initial_uncoverable_;
     const std::span<const int> got = sys.coverers(static_cast<int>(t));
     if (!std::equal(expect.begin(), expect.end(), got.begin(), got.end())) {
@@ -193,8 +291,11 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
                joinInts(expect) + " != System::coverers " + joinInts(got));
     }
   }
-  tags_scanned_ += static_cast<std::int64_t>(n) * static_cast<std::int64_t>(m);
   remaining_coverable_ = initial_unread_ - initial_uncoverable_;
+  // The reader rows served the audit only; every later question walks the
+  // tag rows.
+  std::vector<int>().swap(geo_.cov_off);
+  std::vector<int>().swap(geo_.cov_idx);
 
   // The System's own census must agree with the geometric one.
   if (sys.unreadCount() != initial_unread_) {
@@ -209,11 +310,11 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
              std::to_string(remaining_coverable_));
   }
 
-  if (c_tags_ != nullptr) c_tags_->add(static_cast<std::int64_t>(n * m));
+  if (c_tags_ != nullptr) c_tags_->add(static_cast<std::int64_t>(m));
   if (opt_.trace != nullptr) {
     opt_.trace->instant(obs::EventKind::kCheck, "check.begin",
-                        {{"readers", static_cast<double>(m)},
-                         {"tags", static_cast<double>(n)},
+                        {{"readers", static_cast<double>(n)},
+                         {"tags", static_cast<double>(m)},
                          {"coverable", static_cast<double>(remaining_coverable_)}});
   }
   return ok() || !opt_.fail_fast;
@@ -261,30 +362,41 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
          std::to_string(proposal.channel.size()) + " channels for " +
              std::to_string(X.size()) + " readers");
   }
-  const auto chan = [&](std::size_t i) {
-    return channeled && i < proposal.channel.size() ? proposal.channel[i] : 0;
-  };
+  // The proposal's in-range readers and their channels (0 unchanneled); an
+  // out-of-range id, flagged above, has no geometry to check.
+  std::vector<int> xs;
+  std::vector<int> xc;
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    if (X[i] < 0 || X[i] >= sys.numReaders()) continue;
+    xs.push_back(X[i]);
+    xc.push_back(channeled && i < proposal.channel.size() ? proposal.channel[i]
+                                                          : 0);
+  }
 
   // -- Definition 2 independence, straight from positions and radii.  The
   // predicate is spelled out here instead of calling core::independent so
   // a bug in (or mutation of) the shared inline cannot blind the oracle to
-  // itself — the whole point is an independent recomputation. --
-  if (well_formed && opt_.expect_feasible) {
-    bool flagged = false;
-    for (std::size_t i = 0; i < X.size() && !flagged; ++i) {
-      for (std::size_t j = i + 1; j < X.size() && !flagged; ++j) {
-        if (chan(i) != chan(j)) continue;
-        const core::Reader& a = sys.reader(X[i]);
-        const core::Reader& b = sys.reader(X[j]);
+  // itself — the whole point is an independent recomputation.  The grid
+  // proposes each reader's near neighbours; the flag names the smallest
+  // conflicting (i, j), as a scan of all pairs in order would. --
+  if (well_formed && opt_.expect_feasible && xs.size() > 1) {
+    const ReaderGrid g = readerGrid(sys, xs);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const core::Reader& a = sys.reader(xs[i]);
+      std::size_t first = xs.size();  // smallest conflicting j > i
+      g.grid.forEachNear(a.pos, g.reach, [&](std::size_t j) {
+        if (j <= i || j >= first || xc[j] != xc[i]) return;
+        const core::Reader& b = sys.reader(xs[j]);
         const double max_r =
             std::max(a.interference_radius, b.interference_radius);
-        if (!(geom::dist2(a.pos, b.pos) > max_r * max_r)) {
-          flag(slot, "slot.infeasible",
-               "readers " + std::to_string(X[i]) + " and " +
-                   std::to_string(X[j]) +
-                   " violate ‖v_i−v_j‖ > max(R_i,R_j)");
-          flagged = true;  // one flag per slot is enough
-        }
+        if (!(geom::dist2(a.pos, b.pos) > max_r * max_r)) first = j;
+      });
+      if (first < xs.size()) {
+        flag(slot, "slot.infeasible",
+             "readers " + std::to_string(xs[i]) + " and " +
+                 std::to_string(xs[first]) +
+                 " violate ‖v_i−v_j‖ > max(R_i,R_j)");
+        break;  // one flag per slot is enough
       }
     }
   }
@@ -294,11 +406,11 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
   std::vector<int> live_chan;  // expect_live's channels
   std::vector<int> expect_jam;
   if (!faulty) {
-    expect_live.assign(X.begin(), X.end());
-    for (std::size_t i = 0; i < X.size(); ++i) live_chan.push_back(chan(i));
+    expect_live = xs;
+    live_chan = xc;
   } else {
-    for (std::size_t i = 0; i < X.size(); ++i) {
-      const int v = X[i];
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const int v = xs[i];
       if (!trusted_from_.empty() &&
           trusted_from_[static_cast<std::size_t>(v)] > slot) {
         continue;  // benched: the driver re-plans around it
@@ -311,10 +423,10 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
         continue;
       }
       expect_live.push_back(v);
-      live_chan.push_back(chan(i));
+      live_chan.push_back(xc[i]);
     }
-    for (int v = 0; v < sys.numReaders(); ++v) {
-      if (plan->loud(v, slot)) expect_jam.push_back(v);
+    for (const int v : plan->loudAt(slot)) {
+      if (v >= 0 && v < sys.numReaders()) expect_jam.push_back(v);
     }
   }
   if (!std::equal(expect_live.begin(), expect_live.end(), live.begin(),
@@ -330,70 +442,28 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
              joinInts(expect_jam));
   }
 
-  // -- the naive O(|X|·m) Definition 1 scan over raw geometry --
-  // Radiators = live ∪ jamming.  A tag is served iff it is unread, covered
-  // by exactly one radiator, and that radiator is a live non-victim.  A
-  // live reader is victimized by a live one on its own channel, and by
-  // every jamming one (a stuck transmitter is channel-blind).
+  // -- Definition 1 over raw geometry: every unread tag's coverer row (the
+  // validator's own, from beginRun) against the radiators = live ∪ jamming.
+  // A tag is served iff it is unread, covered by exactly one radiator, and
+  // that radiator is a live non-victim.  The no-fault counterfactual on the
+  // proposal (claimed-weight and progress checks) walks the same rows; on
+  // a clean slot it is exactly |expect_served| (settled below). --
   std::vector<int> radiators(expect_live);
   radiators.insert(radiators.end(), expect_jam.begin(), expect_jam.end());
-  std::vector<char> is_victim(expect_live.size(), 0);
-  for (std::size_t i = 0; i < expect_live.size(); ++i) {
-    const core::Reader& u = sys.reader(expect_live[i]);
-    for (std::size_t j = 0; j < radiators.size() && is_victim[i] == 0; ++j) {
-      const bool jams = j >= expect_live.size();
-      if (j != i && (jams || live_chan[j] == live_chan[i]) &&
-          victimizes(sys.reader(radiators[j]), u)) {
-        is_victim[i] = 1;
-      }
-    }
-  }
+  const RadiatorMarks marks = radiatorMarks(sys, radiators, live_chan);
+  const RadiatorMarks ideal =
+      faulty ? radiatorMarks(sys, xs, xc) : RadiatorMarks{};
   std::vector<int> expect_served;
   int ideal_weight = 0;  // the proposal's no-fault Definition 3 weight
-  for (int t = 0; t < sys.numTags(); ++t) {
-    if (shadow_[static_cast<std::size_t>(t)] != 0) continue;
-    const core::Tag& tag = sys.tag(t);
-    int mult = 0;
-    int only = -1;
-    for (const int v : radiators) {
-      if (coversGeom(sys.reader(v), tag)) {
-        ++mult;
-        only = v;
-      }
-    }
-    if (mult == 1) {
-      // `only` must be live (jamming readers read nothing) and not a victim.
-      for (std::size_t i = 0; i < expect_live.size(); ++i) {
-        if (expect_live[i] == only) {
-          if (is_victim[i] == 0) expect_served.push_back(t);
-          break;
-        }
-      }
-    }
-    // The no-fault counterfactual on the raw proposal (claimed-weight and
-    // progress checks).  Recomputed only when faults changed the radiators;
-    // on a clean slot it is exactly |expect_served| (settled below).
-    if (faulty) {
-      int imult = 0;
-      std::size_t ionly = 0;
-      for (std::size_t i = 0; i < X.size(); ++i) {
-        if (coversGeom(sys.reader(X[i]), tag)) {
-          ++imult;
-          ionly = i;
-        }
-      }
-      if (imult == 1) {
-        bool vic = false;
-        for (std::size_t j = 0; j < X.size() && !vic; ++j) {
-          vic = j != ionly && chan(j) == chan(ionly) &&
-                victimizes(sys.reader(X[j]), sys.reader(X[ionly]));
-        }
-        if (!vic) ++ideal_weight;
-      }
-    }
+  std::int64_t walked = 0;
+  for (std::size_t t = 0; t < shadow_.size(); ++t) {
+    if (shadow_[t] != 0) continue;
+    ++walked;
+    const std::span<const int> cov = geo_.coverers(static_cast<int>(t));
+    if (marks.serves(cov)) expect_served.push_back(static_cast<int>(t));
+    if (faulty && ideal.serves(cov)) ++ideal_weight;
   }
-  tags_scanned_ += static_cast<std::int64_t>(sys.numTags());
-  if (c_tags_ != nullptr) c_tags_->add(sys.numTags());
+  if (c_tags_ != nullptr) c_tags_->add(walked);
   if (!faulty) ideal_weight = static_cast<int>(expect_served.size());
 
   // -- interrogation misses re-drawn from the plan --
@@ -444,7 +514,7 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
 
   if (opt_.level == CheckLevel::kParanoid) {
     // Whole-bitmap agreement at every slot, plus the System's own referee
-    // and census re-asked against the naive scan.
+    // and census re-asked against the geometric recount.
     for (int t = 0; t < sys.numTags(); ++t) {
       if (sys.isRead(t) != (shadow_[static_cast<std::size_t>(t)] != 0)) {
         flag(slot, "paranoid.bitmap-divergence",
@@ -478,11 +548,7 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
     shadow_[static_cast<std::size_t>(t)] = 1;
     // Legitimately served tags are coverable by construction; the geometric
     // guard only matters after a served-mismatch in a non-fail-fast run.
-    bool coverable = false;
-    for (int v = 0; v < sys.numReaders() && !coverable; ++v) {
-      coverable = covers(sys, v, t);
-    }
-    if (coverable) --remaining_coverable_;
+    if (!geo_.coverers(t).empty()) --remaining_coverable_;
   }
   trailing_stall_ = served.empty() ? trailing_stall_ + 1 : 0;
   sum_served_ += static_cast<std::int64_t>(served.size());
@@ -528,13 +594,8 @@ bool ScheduleValidator::checkRun(const core::System& sys,
   }
 
   // The completion claim, re-derived geometrically.
-  const int remaining = shadowCoverableCount(sys);
-  tags_scanned_ += static_cast<std::int64_t>(sys.numTags()) *
-                   static_cast<std::int64_t>(sys.numReaders());
-  if (c_tags_ != nullptr) {
-    c_tags_->add(static_cast<std::int64_t>(sys.numTags()) *
-                 static_cast<std::int64_t>(sys.numReaders()));
-  }
+  const int remaining = shadowCoverableCount();
+  if (c_tags_ != nullptr) c_tags_->add(sys.numTags());
   if (res.completed != (remaining == 0)) {
     flag(-1, "run.completed-claim",
          std::string("result says completed=") +
@@ -549,18 +610,9 @@ bool ScheduleValidator::checkRun(const core::System& sys,
       res.stop == sched::McsStop::kNone && remaining > 0) {
     const bool capped = res.slots >= max_slots;
     const bool stalled = trailing_stall_ >= max_stall;
-    bool orphaned = opt_.faults != nullptr && !opt_.faults->empty() &&
-                    opt_.faults->hasPermanentDeaths();
-    if (orphaned) {
-      for (int t = 0; t < sys.numTags() && orphaned; ++t) {
-        if (shadow_[static_cast<std::size_t>(t)] != 0) continue;
-        bool coverable = false;
-        for (int v = 0; v < sys.numReaders() && !coverable; ++v) {
-          coverable = covers(sys, v, t);
-        }
-        if (coverable) orphaned = unservableForever(sys, t, res.slots);
-      }
-    }
+    const bool orphaned = opt_.faults != nullptr && !opt_.faults->empty() &&
+                          opt_.faults->hasPermanentDeaths() &&
+                          allOrphaned(sys, res.slots);
     if (!capped && !stalled && !orphaned) {
       flag(-1, "run.illegitimate-exit",
            "run ended with " + std::to_string(remaining) +
@@ -571,6 +623,9 @@ bool ScheduleValidator::checkRun(const core::System& sys,
                std::to_string(max_stall) + "), not orphaned");
     }
   }
+  // The rows served this run only; another run starts with beginRun.
+  geo_ = {};
+  begun_ = false;
 
   if (opt_.metrics != nullptr) {
     opt_.metrics->gauge("check.remaining_coverable")

@@ -7,8 +7,9 @@
 //
 //   * pairwise independence (Definition 2) from raw reader geometry,
 //     ‖v_i − v_j‖ > max(R_i, R_j) — never the cached interference graph;
-//   * the slot's served set by a naive O(|X|·m) exactly-one-coverage scan
-//     (Definition 1) over raw positions — never the coverage index;
+//   * the slot's served set by exactly-one coverage (Definition 1): each
+//     unread tag's coverer row, derived from raw positions at beginRun,
+//     walked against the slot's radiators — never the coverage index;
 //   * for a proposal that carries channels (sched/channels.h), both of the
 //     above with RTc between same-channel readers only;
 //   * monotone read-state growth against a private shadow bitmap;
@@ -17,6 +18,13 @@
 //     weight the referee cannot reproduce, and an early exit is justified
 //     (budget, slot cap, stall-out, or every remaining tag truly orphaned
 //     by permanent faults).
+//
+// Every raw-geometry question goes through check/bucket_grid.h, the
+// oracle's own bucket grid, so the begin audit and each slot cost
+// O(n + m + local pairs).  Only the candidate enumeration is bucketed: each
+// predicate (inclusive dist² <= γ² coverage, inclusive dist² <= R_j²
+// victims, strict dist² > max(R_i,R_j)² independence) is evaluated exactly
+// as written.
 //
 // The validator plugs into the MCS driver via McsOptions::validator and is
 // deliberately *redundant* with the production code: it shares the
@@ -54,8 +62,8 @@ enum class CheckLevel {
   /// cross-checks run once per run (begin/end).
   kNormal,
   /// Additionally re-verifies the full read bitmap, the live coverable
-  /// count, and the System's own referee (weight(X) vs the naive scan)
-  /// at *every* slot — quadratic paranoia for debugging sessions.
+  /// count, and the System's own referee (weight(X) vs the geometric
+  /// recount) at *every* slot — an O(m) pass per slot, for debugging.
   kParanoid,
 };
 
@@ -86,16 +94,20 @@ struct CheckOptions {
   /// Recorded-issue cap; further violations are counted, not stored.
   int max_issues = 64;
   /// Observability (optional).  Counters: check.slots_checked,
-  /// check.violations, check.tags_scanned.  Wall-clock (check.slot_us)
-  /// rides with tracing only, matching the MCS driver's discipline.
+  /// check.violations, check.tags_scanned (tag visits: every tag at
+  /// beginRun and at checkRun, the unread tags each slot walks).
+  /// Wall-clock (check.slot_us) rides with tracing only, matching the MCS
+  /// driver's discipline.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
 };
 
-/// Both coverage directions from positions and radii alone: a naive O(n·m)
-/// reader×tag distance scan sharing nothing with the System's spatial grid,
-/// bitmap rows or incremental splices.  Departed tags get empty rows, as
-/// after System::removeTag.  cov_* is the transpose of covr_*; rows ascend.
+/// Both coverage directions from positions and radii alone: the readers
+/// bucketed in check/bucket_grid.h by the largest γ, each tag's candidates
+/// tested with the inclusive dist² <= γ² predicate.  It shares nothing with
+/// the System's spatial grid, bitmap rows or incremental splices, and costs
+/// O(n + m + local pairs).  Departed tags get empty rows, as after
+/// System::removeTag.  cov_* is the transpose of covr_*; rows ascend.
 struct GeometricCoverage {
   std::vector<int> covr_off;  // numTags()+1
   std::vector<int> covr_idx;
@@ -129,9 +141,10 @@ class ScheduleValidator {
 
   // ---- driver hooks (sched/runCoveringSchedule calls these) ----
 
-  /// Captures the shadow read-state and cross-checks the System's derived
-  /// structures against raw geometry.  Returns false (fail_fast only) on a
-  /// violation — the driver then refuses to run at all.
+  /// Captures the shadow read-state, derives the run's coverage rows from
+  /// raw geometry (positions do not move during a run) and cross-checks the
+  /// System's derived structures against them.  Returns false (fail_fast
+  /// only) on a violation — the driver then refuses to run at all.
   bool beginRun(const core::System& sys);
 
   /// Verifies one slot from first principles, called with the *pre-commit*
@@ -146,7 +159,8 @@ class ScheduleValidator {
                  std::span<const int> served);
 
   /// Run postconditions.  `max_slots` / `max_stall` are the driver's caps
-  /// (legitimate early-exit reasons).  Returns ok().
+  /// (legitimate early-exit reasons).  Returns ok().  Releases the rows: a
+  /// later run starts with beginRun.
   bool checkRun(const core::System& sys, const sched::McsResult& res,
                 int max_slots, int max_stall);
 
@@ -165,14 +179,14 @@ class ScheduleValidator {
 
  private:
   void flag(int slot, std::string invariant, std::string detail);
-  /// Geometric coverage test straight from positions and radii.
-  bool covers(const core::System& sys, int reader, int tag) const;
   /// Unread (per shadow) tags with at least one geometric coverer.
-  int shadowCoverableCount(const core::System& sys) const;
-  /// True when no future slot can serve `tag` under permanent faults.
-  bool unservableForever(const core::System& sys, int tag, int slot) const;
+  int shadowCoverableCount() const;
+  /// True when no future slot, from `slot` on, can serve any unread
+  /// coverable tag under the plan's permanent faults.
+  bool allOrphaned(const core::System& sys, int slot) const;
 
   CheckOptions opt_;
+  GeometricCoverage geo_;           // beginRun's tag rows, until checkRun
   std::vector<char> shadow_;        // private read-state mirror
   std::vector<int> trusted_from_;   // bench mirror (fault runs)
   int initial_unread_ = 0;
@@ -180,7 +194,6 @@ class ScheduleValidator {
   int remaining_coverable_ = 0;     // maintained from served commits
   std::int64_t slots_checked_ = 0;
   std::int64_t violations_ = 0;
-  std::int64_t tags_scanned_ = 0;
   int trailing_stall_ = 0;          // consecutive zero-served slots seen
   std::int64_t sum_served_ = 0;
   bool begun_ = false;

@@ -1,5 +1,6 @@
 #include "distributed/kcoloring.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rfid::dist {
@@ -23,6 +24,7 @@ std::string KColoringScheduler::name() const {
 }
 
 sched::OneShotResult KColoringScheduler::schedule(const core::System& sys) {
+  const ColorwaveScheduler::Stats before = protocol_->stats();
   protocol_->runProtocol(settled_ ? 10 : 1500);
   settled_ = true;
 
@@ -34,6 +36,20 @@ sched::OneShotResult KColoringScheduler::schedule(const core::System& sys) {
   }
   res.weight = static_cast<int>(
       sched::wellCoveredTagsChanneled(sys, res.readers, res.channel).size());
+  // Billed as Colorwave bills itself: one referee evaluation, the channels
+  // in use as the search breadth, and the protocol's traffic.
+  std::vector<int> used = colors;
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  recordScheduleMetrics(1, static_cast<std::int64_t>(used.size()));
+  {
+    const ColorwaveScheduler::Stats& after = protocol_->stats();
+    obs::CostBill b;
+    b.weight_evals = 1;
+    b.net_messages = after.messages - before.messages;
+    b.net_rounds = after.protocol_rounds - before.protocol_rounds;
+    chargeCost("kcol.protocol", b);
+  }
   return res;
 }
 

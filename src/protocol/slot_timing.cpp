@@ -200,6 +200,11 @@ LinkTimingResult timeScheduleGen2(core::System& sys,
 
 }  // namespace
 
+workload::Rng alohaReaderRng(const workload::Rng& link, int slot, int reader) {
+  return link.split("aloha.slot", static_cast<std::uint64_t>(slot))
+      .split("aloha.reader", static_cast<std::uint64_t>(reader));
+}
+
 LinkTimingResult timeScheduleLink(core::System& sys,
                                   const sched::McsResult& schedule,
                                   const LinkOptions& opt, workload::Rng rng) {
@@ -244,8 +249,7 @@ LinkTimingResult timeScheduleLink(core::System& sys,
       if (epcs.empty()) continue;
       std::int64_t cost = 0;
       if (opt.link == Link::kAloha) {
-        workload::Rng reader_rng = rng.split(
-            "aloha", static_cast<std::uint64_t>(res.macro_slots * 1000 + v));
+        workload::Rng reader_rng = alohaReaderRng(rng, res.macro_slots, v);
         cost = runAloha(static_cast<int>(epcs.size()), reader_rng).micro_slots;
       } else {
         cost = runTreeWalk(epcs, bits).probes;

@@ -87,6 +87,11 @@ struct LinkTimingResult {
   std::string check_detail;
 };
 
+/// The stream of reader `reader`'s framed-ALOHA round in macro-slot `slot`
+/// of a replay seeded by `link`: split by slot, then by reader, as the Gen2
+/// replay keys its rounds, so no two (slot, reader) pairs share a stream.
+workload::Rng alohaReaderRng(const workload::Rng& link, int slot, int reader);
+
 /// Replays `schedule` under `opt.link`.  Resets the read-state of `sys` and
 /// leaves it fully re-marked (pass a scratch copy if the caller still needs
 /// its read-state).  Deterministic in (schedule, deployment, rng seed);

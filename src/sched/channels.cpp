@@ -79,6 +79,7 @@ OneShotResult MultiChannelScheduler::schedule(const core::System& sys) {
   core::WeightEvaluator eval(sys);
   std::vector<int> chosen;
   std::vector<int> chan;
+  std::int64_t peeks = 0;  // weight evaluations, billed like GHC's scan
 
   while (true) {
     // Cancellation checkpoint: one poll per greedy addition; the partial
@@ -103,6 +104,7 @@ OneShotResult MultiChannelScheduler::schedule(const core::System& sys) {
       }
       if (fit < 0) continue;
       const int delta = eval.peekDelta(v);
+      ++peeks;
       if (delta > best_delta) {
         best_delta = delta;
         best = v;
@@ -128,6 +130,13 @@ OneShotResult MultiChannelScheduler::schedule(const core::System& sys) {
   }
   res.weight = static_cast<int>(
       wellCoveredTagsChanneled(sys, res.readers, res.channel).size());
+  recordScheduleMetrics(peeks, static_cast<std::int64_t>(chosen.size()));
+  {
+    obs::CostBill b;
+    b.weight_evals = peeks + eval.ops();
+    b.csr_rows = b.weight_evals;
+    chargeCost("mc.selection", b);
+  }
   return res;
 }
 

@@ -54,7 +54,112 @@ void forEachWellCovered(const core::System& sys, std::span<const int> X,
   }
 }
 
+int chanOf(std::span<const int> channel, std::size_t i) {
+  return channel.empty() ? 0 : channel[i];
+}
+
 }  // namespace
+
+check::GeometricCoverage geometricCoverage(const core::System& sys) {
+  const int n = sys.numReaders();
+  const int m = sys.numTags();
+  const auto covers = [&sys](int v, int t) {
+    const core::Reader& r = sys.reader(v);
+    return !sys.departed(t) &&
+           geom::dist2(r.pos, sys.tag(t).pos) <=
+               r.interrogation_radius * r.interrogation_radius;
+  };
+  // Each direction by its own full scan, so neither is derived from the
+  // other.
+  check::GeometricCoverage g;
+  g.covr_off.push_back(0);
+  for (int t = 0; t < m; ++t) {
+    for (int v = 0; v < n; ++v) {
+      if (covers(v, t)) g.covr_idx.push_back(v);
+    }
+    g.covr_off.push_back(static_cast<int>(g.covr_idx.size()));
+  }
+  g.cov_off.push_back(0);
+  for (int v = 0; v < n; ++v) {
+    for (int t = 0; t < m; ++t) {
+      if (covers(v, t)) g.cov_idx.push_back(t);
+    }
+    g.cov_off.push_back(static_cast<int>(g.cov_idx.size()));
+  }
+  return g;
+}
+
+std::vector<char> geometricVictims(const core::System& sys,
+                                   std::span<const int> X,
+                                   std::span<const int> channel,
+                                   std::span<const int> jamming) {
+  std::vector<char> victim(X.size(), 0);
+  const auto holds = [&sys](int j, int u) {
+    const double rj = sys.reader(j).interference_radius;
+    return geom::dist2(sys.reader(u).pos, sys.reader(j).pos) <= rj * rj;
+  };
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    for (std::size_t j = 0; j < X.size(); ++j) {
+      if (j != i && chanOf(channel, j) == chanOf(channel, i) && holds(X[j], X[i])) {
+        victim[i] = 1;
+      }
+    }
+    for (const int j : jamming) {
+      if (holds(j, X[i])) victim[i] = 1;
+    }
+  }
+  return victim;
+}
+
+std::vector<int> geometricServed(const core::System& sys,
+                                 std::span<const int> X,
+                                 std::span<const int> channel,
+                                 std::span<const int> jamming) {
+  const std::vector<char> victim = geometricVictims(sys, X, channel, jamming);
+  const auto covers = [&sys](int v, const core::Tag& tag) {
+    const core::Reader& r = sys.reader(v);
+    return geom::dist2(r.pos, tag.pos) <=
+           r.interrogation_radius * r.interrogation_radius;
+  };
+  std::vector<int> served;
+  for (int t = 0; t < sys.numTags(); ++t) {
+    if (sys.isRead(t)) continue;
+    const core::Tag& tag = sys.tag(t);
+    int mult = 0;
+    std::size_t owner = X.size();  // X index of the covering radiator
+    for (std::size_t i = 0; i < X.size(); ++i) {
+      if (covers(X[i], tag)) {
+        ++mult;
+        owner = i;
+      }
+    }
+    for (const int j : jamming) {
+      if (covers(j, tag)) {
+        ++mult;
+        owner = X.size();
+      }
+    }
+    if (mult == 1 && owner < X.size() && victim[owner] == 0) served.push_back(t);
+  }
+  return served;
+}
+
+std::optional<std::pair<int, int>> firstDependentPair(
+    const core::System& sys, std::span<const int> X,
+    std::span<const int> channel) {
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    for (std::size_t j = i + 1; j < X.size(); ++j) {
+      if (chanOf(channel, i) != chanOf(channel, j)) continue;
+      const core::Reader& a = sys.reader(X[i]);
+      const core::Reader& b = sys.reader(X[j]);
+      const double max_r = std::max(a.interference_radius, b.interference_radius);
+      if (!(geom::dist2(a.pos, b.pos) > max_r * max_r)) {
+        return std::pair{X[i], X[j]};
+      }
+    }
+  }
+  return std::nullopt;
+}
 
 int weight(const core::System& sys, std::span<const int> X) {
   int w = 0;

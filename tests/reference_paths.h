@@ -1,6 +1,10 @@
 // reference_paths.h — the straightforward implementations the optimized
 // production paths are held bit-identical to (docs/performance.md); linked
-// into the test binaries only.  The coverers referee walks every tag's
+// into the test binaries only.  The raw-geometry references answer the
+// oracle's questions (coverage, served set, victims, feasibility) by
+// brute force over every reader, radiator pair and tag, so the bucket grid
+// in check/ is held to a scan with no candidate enumeration at all.  The
+// coverers referee walks every tag's
 // System::coverers() row and counts the radiators among them; it reads
 // only coverers(), isRead() and the reader accessors — never bitRow() or
 // coveredTags() — so the bitmap kernels are held to an index they do not
@@ -10,15 +14,47 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "check/invariants.h"
 #include "core/system.h"
 #include "graph/interference_graph.h"
 #include "sched/growth.h"
 
 namespace rfid::test::ref {
+
+/// check::geometricCoverage by brute force: every reader against every
+/// non-departed tag, O(n·m).
+check::GeometricCoverage geometricCoverage(const core::System& sys);
+
+/// RTc victims among `X` from raw positions, by brute force: X[i] is a
+/// victim when another radiator holds it inside its interference disk
+/// (inclusive dist² <= R_j²) and shares its channel or jams.  `channel` is
+/// empty (one channel) or aligned with X; `jamming` readers are
+/// channel-blind.  Aligned with X.
+std::vector<char> geometricVictims(const core::System& sys,
+                                   std::span<const int> X,
+                                   std::span<const int> channel = {},
+                                   std::span<const int> jamming = {});
+
+/// Definition 1 from raw positions, by brute force over all tags and
+/// radiators (X ∪ jamming): the unread tags exactly one radiator covers
+/// (inclusive dist² <= γ²), that one a non-victim member of X.  Ascending.
+std::vector<int> geometricServed(const core::System& sys,
+                                 std::span<const int> X,
+                                 std::span<const int> channel = {},
+                                 std::span<const int> jamming = {});
+
+/// The first pair (X[i], X[j]), i < j in X's order, of same-channel readers
+/// that violate Definition 2 (not dist² > max(R_i,R_j)²); none when X is
+/// channel-feasible.
+std::optional<std::pair<int, int>> firstDependentPair(
+    const core::System& sys, std::span<const int> X,
+    std::span<const int> channel = {});
 
 /// w(X) of Definition 3.
 int weight(const core::System& sys, std::span<const int> X);

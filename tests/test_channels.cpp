@@ -4,6 +4,8 @@
 
 #include "check/invariants.h"
 #include "fault/fault_plan.h"
+#include "obs/cost.h"
+#include "obs/metrics.h"
 #include "sched/channels.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
@@ -108,6 +110,33 @@ TEST(Channels, ChanneledMcsCompletes) {
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(sys.unreadCoverableCount(), 0);
   EXPECT_GT(res.tags_read, 0);
+}
+
+TEST(Channels, MultiChannelSchedulerRecordsMetricsAndCost) {
+  // Like GHC: one schedule call per slot, its peekDelta calls as weight
+  // evaluations, its picks as candidates, and its own cost phase.
+  core::System sys = workload::makeSystem(workload::paperScenario(10, 4), 1);
+  obs::MetricsRegistry reg;
+  obs::CostLedger ledger;
+  MultiChannelScheduler mc(ChannelOptions{2});
+  mc.attachMetrics(&reg);
+  mc.attachCost(&ledger);
+  McsOptions opt;
+  opt.cost = &ledger;
+  const McsResult res = runCoveringSchedule(sys, mc, opt);
+  EXPECT_TRUE(res.completed);
+#ifndef RFIDSCHED_NO_OBS
+  EXPECT_EQ(reg.counter("sched.schedule_calls").value(), res.slots);
+  EXPECT_GT(reg.counter("sched.weight_evals").value(), 0);
+  std::int64_t picks = 0;
+  for (const SlotRecord& slot : res.schedule) {
+    picks += static_cast<std::int64_t>(slot.active.size());
+  }
+  EXPECT_EQ(reg.counter("sched.candidates").value(), picks);
+  const obs::CostBill* phase = ledger.phase("mc.selection");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_GE(phase->weight_evals, reg.counter("sched.weight_evals").value());
+#endif
 }
 
 TEST(Channels, PaperDefaultMcsPassesTheStrictValidator) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "distributed/kcoloring.h"
+#include "obs/cost.h"
+#include "obs/metrics.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"
 
@@ -18,6 +20,31 @@ TEST(KColoring, ActivatesEveryoneWithinPalette) {
     EXPECT_GE(c, 0);
     EXPECT_LT(c, 4);
   }
+}
+
+TEST(KColoring, RecordsMetricsAndCost) {
+  // Billed as Colorwave bills itself: one referee evaluation per call, the
+  // channels in use as candidates, the protocol traffic in its own phase.
+  const core::System sys = test::smallRandomSystem(4, 20, 120, 50.0);
+  obs::MetricsRegistry reg;
+  obs::CostLedger ledger;
+  KColoringScheduler kc(sys, 4, 4);
+  kc.attachMetrics(&reg);
+  kc.attachCost(&ledger);
+  const sched::OneShotResult a = kc.schedule(sys);
+  (void)kc.schedule(sys);
+#ifndef RFIDSCHED_NO_OBS
+  EXPECT_EQ(reg.counter("sched.schedule_calls").value(), 2);
+  EXPECT_EQ(reg.counter("sched.weight_evals").value(), 2);
+  EXPECT_GE(reg.counter("sched.candidates").value(), 2);
+  EXPECT_LE(reg.counter("sched.candidates").value(), 8);
+  const obs::CostBill* phase = ledger.phase("kcol.protocol");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->weight_evals, 2);
+  EXPECT_GT(phase->net_messages, 0);
+  EXPECT_GT(phase->net_rounds, 0);
+#endif
+  EXPECT_EQ(static_cast<int>(a.readers.size()), sys.numReaders());
 }
 
 TEST(KColoring, WeightMatchesChanneledReferee) {

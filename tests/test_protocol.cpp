@@ -143,6 +143,25 @@ TEST(SlotTiming, ChargesSlowestReaderPerSlot) {
   EXPECT_GT(tree.micro_slots, 0);
 }
 
+TEST(SlotTiming, AlohaStreamsAreDistinctPerSlotAndReader) {
+  // Keyed as slot*1000 + reader, reader 1000 in slot 0 replayed reader 0's
+  // stream for slot 1.  Split by slot, then by reader, every pair draws
+  // its own stream.
+  const workload::Rng link(5);
+  for (const int slot : {0, 1, 7}) {
+    EXPECT_NE(alohaReaderRng(link, slot, 1000).next(),
+              alohaReaderRng(link, slot + 1, 0).next())
+        << "slot " << slot;
+    EXPECT_NE(alohaReaderRng(link, slot, 1).next(),
+              alohaReaderRng(link, slot, 0).next());
+    EXPECT_EQ(alohaReaderRng(link, slot, 3).next(),
+              alohaReaderRng(link, slot, 3).next());
+  }
+  // What the old key did: the two draws coincide.
+  EXPECT_EQ(link.split("aloha", 0 * 1000 + 1000).next(),
+            link.split("aloha", 1 * 1000 + 0).next());
+}
+
 TEST(SlotTiming, EmptyScheduleCostsNothing) {
   core::System sys = test::smallRandomSystem(22, 5, 20);
   const sched::McsResult empty;

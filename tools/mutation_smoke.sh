@@ -96,6 +96,12 @@ mutants=(
   # geometry dictates: the oracle's served-set and claimed-weight checks
   # exit 5.
   "channel-blind-rtc|src/sched/channels.cpp|channel\[i\] != channel\[j\]) continue;|false) continue;"
+  # The oracle's own bucket grid (src/check/bucket_grid.h) narrows its query
+  # ring: the upper column of cells a disk's box overlaps is never visited,
+  # so geometricCoverage loses coverers that sit one cell to the right.  The
+  # oracle then disagrees with a correct System; the gen run's begin audit
+  # exits 5 with begin.coverage-row-mismatch.
+  "check-grid-narrow-ring|src/check/bucket_grid.h|for (int cx = xlo; cx <= xhi; ++cx)|for (int cx = xlo; cx < xhi; ++cx)"
 )
 
 run_cli() {
