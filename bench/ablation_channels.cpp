@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "analysis/stats.h"
-#include "sched/channels.h"
+#include "sched/hill_climbing.h"
 #include "sched/mcs.h"
 #include "workload/scenario.h"
 

@@ -7,7 +7,6 @@
 #include "analysis/stats.h"
 #include "distributed/colorwave.h"
 #include "graph/interference_graph.h"
-#include "sched/channels.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"

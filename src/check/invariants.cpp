@@ -8,7 +8,6 @@
 #include "fault/fault_plan.h"
 #include "geometry/vec2.h"
 #include "obs/timer.h"
-#include "sched/channels.h"
 
 namespace rfid::check {
 
@@ -531,8 +530,7 @@ bool ScheduleValidator::checkSlot(const core::System& sys, int slot,
     const int referee_w =
         channeled && well_formed
             ? static_cast<int>(
-                  sched::wellCoveredTagsChanneled(sys, X, proposal.channel)
-                      .size())
+                  sys.wellCoveredTags(X, {}, proposal.channel).size())
             : sys.weight(X);
     if (referee_w != ideal_weight) {
       flag(slot, "paranoid.referee-weight-mismatch",

@@ -10,8 +10,8 @@
 //   * the slot's served set by exactly-one coverage (Definition 1): each
 //     unread tag's coverer row, derived from raw positions at beginRun,
 //     walked against the slot's radiators — never the coverage index;
-//   * for a proposal that carries channels (sched/channels.h), both of the
-//     above with RTc between same-channel readers only;
+//   * for a proposal that carries channels (OneShotResult::channel), both
+//     of the above with RTc between same-channel readers only;
 //   * monotone read-state growth against a private shadow bitmap;
 //   * MCS postconditions (Definition 4 / §III): a run that claims
 //     completion left no servable tag unread, no committed slot claimed a

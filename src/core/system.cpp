@@ -19,11 +19,6 @@ std::uint64_t nextInstanceId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Below this many radiating readers the O(k²) victim scan beats the grid
-/// queries (it touches no cells and no qbuf); both produce the exact same
-/// flags, so the threshold is pure tuning.
-constexpr std::size_t kVictimGridThreshold = 12;
-
 }  // namespace
 
 System::System(std::vector<Reader> readers, std::vector<Tag> tags)
@@ -255,69 +250,55 @@ void System::buildInterferenceRows() {
 }
 
 void System::markVictims(std::span<const int> X, std::span<const int> jamming,
+                         std::span<const int> channel,
                          WeightScratch& scratch) const {
-  // RTc victims among the radiators, Definition 1's second condition.  Both
-  // paths compute the identical flags; `marked` records every flag set so
-  // the scratch returns to all-zero afterwards.
-  const std::size_t k = X.size() + jamming.size();
-  if (intf_off_.empty() && k < kVictimGridThreshold) {
-    for (const int vi : X) {
-      const Reader& a = reader(vi);
-      char f = 0;
-      for (const int vj : X) {
-        if (vi == vj) continue;
-        const double rj = reader(vj).interference_radius;
-        if (geom::dist2(a.pos, reader(vj).pos) <= rj * rj) { f = 1; break; }
-      }
-      if (f == 0) {
-        for (const int vj : jamming) {
-          if (vi == vj) continue;
-          const double rj = reader(vj).interference_radius;
-          if (geom::dist2(a.pos, reader(vj).pos) <= rj * rj) { f = 1; break; }
-        }
-      }
-      if (f != 0) {
-        scratch.victim[static_cast<std::size_t>(vi)] = 1;
-        scratch.marked.push_back(vi);
-      }
+  // RTc victims among the radiators, Definition 1's second condition: every
+  // radiator marks the readers inside its interference disk (except
+  // itself), read from its interference row or, past the rows' build cap,
+  // from a reader-grid query; the rows hold exactly the set the query
+  // returns minus the radiator.  A member of a channeled X marks only the
+  // readers on its own channel; a jammer marks every channel.  Marks may
+  // land on non-members; only members' flags are read, and every mark is
+  // undone through `marked`.
+  assert(channel.empty() || channel.size() == X.size());
+  if (!channel.empty()) {
+    if (scratch.channel.size() < readers_.size()) {
+      scratch.channel.resize(readers_.size());
     }
-    return;
+    for (std::size_t i = 0; i < X.size(); ++i) {
+      scratch.channel[static_cast<std::size_t>(X[i])] = channel[i];
+    }
   }
-  // Row/grid pass: every radiator marks the readers inside its interference
-  // disk (except itself).  Marks may land on non-members; only members'
-  // flags are read, and every mark is undone through `marked`.  The
-  // precomputed interference rows hold exactly the set the grid query
-  // returns (minus the radiator), so both branches set identical flags.
   const bool rows = !intf_off_.empty();
-  const auto mark_disk = [this, &scratch, rows](int vj) {
+  const auto mark_disk = [this, &scratch, rows](int vj, bool every, int c) {
+    const auto mark = [&scratch, vj, every, c](int u) {
+      if (u == vj || scratch.victim[static_cast<std::size_t>(u)] != 0) return;
+      if (!every && scratch.channel[static_cast<std::size_t>(u)] != c) return;
+      scratch.victim[static_cast<std::size_t>(u)] = 1;
+      scratch.marked.push_back(u);
+    };
     if (rows) {
       const auto b = static_cast<std::size_t>(
           intf_off_[static_cast<std::size_t>(vj)]);
       const auto e = static_cast<std::size_t>(
           intf_off_[static_cast<std::size_t>(vj) + 1]);
-      for (std::size_t i = b; i < e; ++i) {
-        const int u = intf_idx_[i];
-        if (scratch.victim[static_cast<std::size_t>(u)] != 0) continue;
-        scratch.victim[static_cast<std::size_t>(u)] = 1;
-        scratch.marked.push_back(u);
-      }
+      for (std::size_t i = b; i < e; ++i) mark(intf_idx_[i]);
       return;
     }
     const Reader& rj = reader(vj);
     scratch.qbuf.clear();
     reader_index_->queryDisk(rj.pos, rj.interference_radius, scratch.qbuf);
-    for (const int u : scratch.qbuf) {
-      if (u == vj || scratch.victim[static_cast<std::size_t>(u)] != 0) continue;
-      scratch.victim[static_cast<std::size_t>(u)] = 1;
-      scratch.marked.push_back(u);
-    }
+    for (const int u : scratch.qbuf) mark(u);
   };
-  for (const int vj : X) mark_disk(vj);
-  for (const int vj : jamming) mark_disk(vj);
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    mark_disk(X[i], channel.empty(), channel.empty() ? 0 : channel[i]);
+  }
+  for (const int vj : jamming) mark_disk(vj, true, 0);
 }
 
 int System::evalBitmap(std::span<const int> X, std::span<const int> jamming,
-                       WeightScratch& scratch, std::vector<int>* out) const {
+                       std::span<const int> channel, WeightScratch& scratch,
+                       std::vector<int>* out) const {
   const std::size_t words = read_bits_.size();
   if (scratch.once.size() < words) {
     // addTag grew the bit space past this scratch (caller-owned scratches
@@ -325,7 +306,7 @@ int System::evalBitmap(std::span<const int> X, std::span<const int> jamming,
     scratch.once.resize(words, 0);
     scratch.twice.resize(words, 0);
   }
-  markVictims(X, jamming, scratch);
+  markVictims(X, jamming, channel, scratch);
   // Exactly-one counting, word-parallel: after the sweep `once & ~twice`
   // holds the bits covered by exactly one radiating reader.
   const auto accumulate = [this, &scratch](int v) {
@@ -367,22 +348,31 @@ int System::evalBitmap(std::span<const int> X, std::span<const int> jamming,
   return w;
 }
 
-std::vector<int> System::wellCoveredTags(std::span<const int> X) const {
-  return wellCoveredTags(X, {}, scratch_);
-}
-
 std::vector<int> System::wellCoveredTags(std::span<const int> X,
-                                         std::span<const int> jamming) const {
-  return wellCoveredTags(X, jamming, scratch_);
+                                         std::span<const int> jamming,
+                                         std::span<const int> channel) const {
+  return wellCoveredTags(X, jamming, channel, scratch_);
 }
 
 std::vector<int> System::wellCoveredTags(std::span<const int> X,
                                          std::span<const int> jamming,
+                                         std::span<const int> channel,
                                          WeightScratch& scratch) const {
   if (well_covered_evals_ != nullptr) well_covered_evals_->add(1);
   std::vector<int> out;
-  evalBitmap(X, jamming, scratch, &out);
+  evalBitmap(X, jamming, channel, scratch, &out);
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<char> System::victimsOf(std::span<const int> jamming) const {
+  markVictims({}, jamming, {}, scratch_);
+  std::vector<char> out(readers_.size(), 0);
+  for (const int v : scratch_.marked) {
+    out[static_cast<std::size_t>(v)] = 1;
+    scratch_.victim[static_cast<std::size_t>(v)] = 0;
+  }
+  scratch_.marked.clear();
   return out;
 }
 
@@ -392,7 +382,7 @@ int System::weight(std::span<const int> X) const {
 
 int System::weight(std::span<const int> X, WeightScratch& scratch) const {
   if (weight_evals_ != nullptr) weight_evals_->add(1);
-  return evalBitmap(X, {}, scratch, nullptr);
+  return evalBitmap(X, {}, {}, scratch, nullptr);
 }
 
 void System::coveredTags(int v, std::vector<int>& out) const {

@@ -53,6 +53,10 @@ struct WeightScratch {
   std::vector<int> touched;
   std::vector<int> marked;
   std::vector<int> qbuf;
+  // Per-reader channel of the members of a channeled X, written before each
+  // channeled victim pass (other entries are never read).  Sized on the
+  // first channeled evaluation, so the single-channel path never holds it.
+  std::vector<int> channel;
 };
 
 /// The deployment plus the tag read-state.
@@ -131,26 +135,39 @@ class System {
 
   /// Tags well-covered when exactly the readers in `X` are active.  Valid
   /// for *arbitrary* X, feasible or not: a reader lying inside another
-  /// active reader's interference disk is an RTc victim and reads nothing,
-  /// and a tag covered by more than one active reader is lost to RRc.
-  /// Only unread tags are reported.  Uses the internal scratch buffer
-  /// (not thread-safe across concurrent calls on one System).
-  std::vector<int> wellCoveredTags(std::span<const int> X) const;
-
-  /// Fault-mode referee: tags well-covered by the readers of `X` while the
-  /// readers in `jamming` also radiate.  A jamming reader (a loud-failed
-  /// crash, fault::FaultPlan) counts for RRc coverage multiplicity and RTc
-  /// victimization exactly like an active reader, but reads nothing.  `X`
-  /// and `jamming` must be disjoint.  With `jamming` empty this is exactly
-  /// wellCoveredTags(X).  Same scratch-buffer caveat.
+  /// radiator's interference disk is an RTc victim and reads nothing, and a
+  /// tag covered by more than one radiator is lost to RRc.  Only unread
+  /// tags are reported, ascending.  Uses the internal scratch buffer (not
+  /// thread-safe across concurrent calls on one System).
+  ///
+  /// `jamming` (disjoint from X) are loud-failed crashes (fault::FaultPlan):
+  /// they radiate — RRc multiplicity and RTc victimization exactly like an
+  /// active reader — but read nothing.
+  ///
+  /// `channel` empty is the paper's single-channel model; otherwise
+  /// channel[i] is X[i]'s channel (§VII: Gen2 dense-reading mode, the
+  /// k-coloring heuristic of [13]).  Then RTc strikes only between readers
+  /// on the same channel, while RRc stays channel-blind — a passive tag
+  /// cannot separate the signals it backscatters — and a jammer victimizes
+  /// every reader inside its interference disk whatever its channel.  A
+  /// channeled X is feasible when its same-channel pairs are independent
+  /// (its interference subgraph is properly colored); one channel reduces
+  /// exactly to Definition 2.
   std::vector<int> wellCoveredTags(std::span<const int> X,
-                                   std::span<const int> jamming) const;
+                                   std::span<const int> jamming = {},
+                                   std::span<const int> channel = {}) const;
 
   /// wellCoveredTags with caller-owned scratch: thread-safe with one
   /// scratch per thread.  `scratch` must come from initScratch().
   std::vector<int> wellCoveredTags(std::span<const int> X,
                                    std::span<const int> jamming,
+                                   std::span<const int> channel,
                                    WeightScratch& scratch) const;
+
+  /// The RTc victims of the `jamming` readers alone, one flag per reader:
+  /// the readers inside some jammer's interference disk (a jammer is not
+  /// its own victim), whatever their channel.  Same scratch-buffer caveat.
+  std::vector<char> victimsOf(std::span<const int> jamming) const;
 
   /// w(X) of Definition 3: |wellCoveredTags(X)| without materializing the
   /// list.  Same scratch-buffer caveat.
@@ -314,12 +331,14 @@ class System {
   void bitmapInsert(std::span<const int> readers, int t);
   void bitmapErase(std::span<const int> readers, int t);
   /// Referee kernels (weight / wellCoveredTags); `out` nullptr means count
-  /// only.  Exactly-one counting over once/twice accumulators;
-  /// victims marked through the reader grid above a small |X| threshold.
+  /// only.  Exactly-one counting over once/twice accumulators; victims
+  /// marked from the interference rows, or by reader-grid queries past the
+  /// rows' build cap.
   int evalBitmap(std::span<const int> X, std::span<const int> jamming,
-                 WeightScratch& scratch, std::vector<int>* out) const;
+                 std::span<const int> channel, WeightScratch& scratch,
+                 std::vector<int>* out) const;
   void markVictims(std::span<const int> X, std::span<const int> jamming,
-                   WeightScratch& scratch) const;
+                   std::span<const int> channel, WeightScratch& scratch) const;
   /// Materializes the directed interference rows (constructor only).
   void buildInterferenceRows();
   /// Readers covering position `pos`, ascending (reader grid query).

@@ -34,8 +34,8 @@ sched::OneShotResult KColoringScheduler::schedule(const core::System& sys) {
     res.readers.push_back(v);
     res.channel.push_back(colors[static_cast<std::size_t>(v)]);
   }
-  res.weight = static_cast<int>(
-      sched::wellCoveredTagsChanneled(sys, res.readers, res.channel).size());
+  res.weight =
+      static_cast<int>(sys.wellCoveredTags(res.readers, {}, res.channel).size());
   // Billed as Colorwave bills itself: one referee evaluation, the channels
   // in use as the search breadth, and the protocol's traffic.
   std::vector<int> used = colors;

@@ -20,7 +20,7 @@
 #include <memory>
 
 #include "distributed/colorwave.h"
-#include "sched/channels.h"
+#include "sched/scheduler.h"
 
 namespace rfid::dist {
 

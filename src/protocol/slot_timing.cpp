@@ -7,7 +7,6 @@
 
 #include "protocol/aloha.h"
 #include "protocol/tree_walking.h"
-#include "sched/channels.h"
 
 namespace rfid::protocol {
 
@@ -94,7 +93,7 @@ LinkTimingResult timeScheduleGen2(core::System& sys,
     const Gen2Target target = Gen2Target::kA;
 
     const std::vector<int> phys =
-        sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
+        sys.wellCoveredTags(slot.active, {}, slot.channel);
     // Group the physical population by its unique radiating owner.
     pops.assign(slot.active.size(), {});
     for (std::size_t i = 0; i < slot.active.size(); ++i) {
@@ -219,7 +218,7 @@ LinkTimingResult timeScheduleLink(core::System& sys,
     sys.resetReads();
     for (const sched::SlotRecord& slot : schedule.schedule) {
       const std::vector<int> served =
-          sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
+          sys.wellCoveredTags(slot.active, {}, slot.channel);
       res.tags_read += static_cast<int>(served.size());
       res.micro_slots += 1;
       res.micro_slots_serial += static_cast<std::int64_t>(slot.active.size());
@@ -235,7 +234,7 @@ LinkTimingResult timeScheduleLink(core::System& sys,
   std::vector<int> cov;
   for (const sched::SlotRecord& slot : schedule.schedule) {
     const std::vector<int> served =
-        sched::wellCoveredTagsChanneled(sys, slot.active, slot.channel);
+        sys.wellCoveredTags(slot.active, {}, slot.channel);
     std::int64_t slot_max = 0;
     for (const int v : slot.active) {
       // Tags of v among the served set (exclusive coverage ⇒ unique owner).

@@ -96,7 +96,7 @@ workload::Rng alohaReaderRng(const workload::Rng& link, int slot, int reader);
 /// leaves it fully re-marked (pass a scratch copy if the caller still needs
 /// its read-state).  Deterministic in (schedule, deployment, rng seed);
 /// independent of scheduler thread count.  A slot that carries channels
-/// (SlotRecord::channel) is refereed by sched::wellCoveredTagsChanneled.
+/// (SlotRecord::channel) is refereed in the channel model.
 /// Fault-injected runs record *proposed* active sets, which a replay cannot
 /// re-execute faithfully — callers gate on a fault-free run (the CLI rejects
 /// `--link` + `--fault-*`).

@@ -4,7 +4,6 @@
 #include "ckpt/journal.h"
 #include "fault/channel_model.h"
 #include "fault/fault_plan.h"
-#include "sched/channels.h"
 #include "sched/mcs_loop.h"
 
 namespace rfid::sched {
@@ -24,22 +23,17 @@ namespace {
 int countMcsOrphans(const core::System& sys, const fault::FaultPlan& plan,
                     int slot) {
   std::vector<char> jammed_tag(static_cast<std::size_t>(sys.numTags()), 0);
-  std::vector<char> victim(static_cast<std::size_t>(sys.numReaders()), 0);
+  std::vector<int> loud;
   std::vector<int> row;
   for (int j = 0; j < sys.numReaders(); ++j) {
     if (!plan.permanentlyDead(j, slot) || !plan.loud(j, slot)) continue;
+    loud.push_back(j);
     sys.coveredTags(j, row);
     for (const int t : row) {
       jammed_tag[static_cast<std::size_t>(t)] = 1;
     }
-    const core::Reader& jr = sys.reader(j);
-    const double rj2 = jr.interference_radius * jr.interference_radius;
-    for (int v = 0; v < sys.numReaders(); ++v) {
-      if (v != j && geom::dist2(sys.reader(v).pos, jr.pos) <= rj2) {
-        victim[static_cast<std::size_t>(v)] = 1;
-      }
-    }
   }
+  const std::vector<char> victim = sys.victimsOf(loud);
   int orphans = 0;
   for (int t = 0; t < sys.numTags(); ++t) {
     if (sys.isRead(t)) continue;
@@ -191,14 +185,13 @@ bool McsSlotLoop::step(int clock, bool settled) {
   bool slot_lost = false;
   // Hoisted from the faulty branch so the validator can see the executed
   // split; on the clean path all three stay empty (no allocation, no
-  // referee change).  A channeled proposal (one.channel non-empty) is
-  // refereed by wellCoveredTagsChanneled, an unchanneled one by the
-  // System's bitmap referee.
+  // referee change).  The System referees a channeled proposal
+  // (one.channel non-empty) in the channel model.
   std::vector<int> live;
   std::vector<int> live_channel;
   std::vector<int> jamming;
   if (!faulty_) {
-    served_ = wellCoveredTagsChanneled(sys_, one.readers, one.channel);
+    served_ = sys_.wellCoveredTags(one.readers, {}, one.channel);
   } else {
     // Split the proposal: benched readers are stripped (the driver
     // re-planned around a known failure), crashed ones read nothing.
@@ -228,7 +221,7 @@ bool McsSlotLoop::step(int clock, bool settled) {
     for (const int v : plan_->loudAt(clock)) {
       if (v >= 0 && v < sys_.numReaders()) jamming.push_back(v);
     }
-    served_ = wellCoveredTagsChanneled(sys_, live, live_channel, jamming);
+    served_ = sys_.wellCoveredTags(live, jamming, live_channel);
     // Interrogation misses: a well-covered tag can still fail its
     // inventory round; it stays unread and future slots retry it.
     if (plan_->hasMissFaults()) {
@@ -246,7 +239,7 @@ bool McsSlotLoop::step(int clock, bool settled) {
     // The no-fault counterfactual for degradation accounting: what this
     // exact proposal would have served on ideal hardware.
     ideal_here = static_cast<int>(
-        wellCoveredTagsChanneled(sys_, one.readers, one.channel).size());
+        sys_.wellCoveredTags(one.readers, {}, one.channel).size());
     McsDegradation& d = res_.degradation;
     d.ideal_tags_read += ideal_here;
     d.crashed_activations += crashed_here;

@@ -12,7 +12,7 @@
 // a not-yet-converged Colorwave class) simply serve fewer tags, exactly as
 // the physics would dictate.  A proposal that carries channels
 // (OneShotResult::channel) is refereed in the channel model of
-// sched/channels.h: RTc only between same-channel readers.
+// core::System::wellCoveredTags: RTc only between same-channel readers.
 //
 // With a fault::FaultPlan attached the referee also injects the plan's
 // failures (docs/faults.md): crashed proposal members read nothing (loud

@@ -34,11 +34,12 @@ struct OneShotResult {
   std::vector<int> readers;
   /// w(readers) as evaluated by the System at decision time.
   int weight = 0;
-  /// The channel assignment (sched/channels.h): empty for the paper's
-  /// single-channel model, otherwise channel[i] is readers[i]'s channel.
-  /// Every referee of a slot (the MCS step, the validator, the link replay)
-  /// switches to wellCoveredTagsChanneled when it is non-empty.  (The
-  /// initializer lets `{readers, weight}` stay a complete initialization.)
+  /// The channel assignment (§VII): empty for the paper's single-channel
+  /// model, otherwise channel[i] is readers[i]'s channel.  Every referee of
+  /// a slot (the MCS step, the validator, the link replay) passes it on to
+  /// core::System::wellCoveredTags, which then confines RTc to each
+  /// channel.  (The initializer lets `{readers, weight}` stay a complete
+  /// initialization.)
   std::vector<int> channel = {};
 };
 

@@ -14,7 +14,6 @@
 #include "fault/channel_model.h"
 #include "graph/interference_graph.h"
 #include "obs/timer.h"
-#include "sched/channels.h"
 #include "sched/exact.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
@@ -68,42 +67,6 @@ workload::Scenario scenarioFor(const RequestSpec& spec) {
   return sc;
 }
 
-/// Mirrors the rfidsched_cli factory; the parser has already validated
-/// `spec.algo`, so an unknown name here is a programming error and falls
-/// back to alg2.
-std::unique_ptr<sched::OneShotScheduler> makeScheduler(
-    const RequestSpec& spec, const graph::InterferenceGraph& g,
-    const core::System& sys, int threads) {
-  if (spec.algo == "alg1") {
-    sched::PtasOptions o;
-    o.k = spec.k;
-    o.num_threads = threads;
-    return std::make_unique<sched::PtasScheduler>(o);
-  }
-  if (spec.algo == "alg3") {
-    dist::DistributedGrowthOptions o;
-    o.rho = spec.rho;
-    return std::make_unique<dist::GrowthDistributedScheduler>(g, o);
-  }
-  if (spec.algo == "ghc") {
-    return std::make_unique<sched::HillClimbingScheduler>();
-  }
-  if (spec.algo == "ca") {
-    return std::make_unique<dist::ColorwaveScheduler>(sys, spec.seed);
-  }
-  if (spec.algo == "exact") {
-    return std::make_unique<sched::ExactScheduler>();
-  }
-  if (spec.algo == "mc") {
-    return std::make_unique<sched::MultiChannelScheduler>(
-        sched::ChannelOptions{spec.channels});
-  }
-  sched::GrowthOptions o;
-  o.rho = spec.rho;
-  o.num_threads = threads;
-  return std::make_unique<sched::GrowthScheduler>(g, o);
-}
-
 /// Wraps a scheduler with a cancellable sleep before every schedule() call
 /// — the `pace-ms` chaos knob.  The heartbeat still advances each slot
 /// (the driver bumps it before calling us), so a paced request is *slow but
@@ -139,6 +102,37 @@ class PacedScheduler : public sched::OneShotScheduler {
 };
 
 }  // namespace
+
+std::unique_ptr<sched::OneShotScheduler> makeScheduler(
+    std::string_view algo, const core::System& sys,
+    const graph::InterferenceGraph& g, int k, double rho, int channels,
+    std::uint64_t seed, int threads) {
+  if (algo == "alg1") {
+    sched::PtasOptions o;
+    o.k = k;
+    o.num_threads = threads;
+    return std::make_unique<sched::PtasScheduler>(o);
+  }
+  if (algo == "alg2") {
+    sched::GrowthOptions o;
+    o.rho = rho;
+    o.num_threads = threads;
+    return std::make_unique<sched::GrowthScheduler>(g, o);
+  }
+  if (algo == "alg3") {
+    dist::DistributedGrowthOptions o;
+    o.rho = rho;
+    return std::make_unique<dist::GrowthDistributedScheduler>(g, o);
+  }
+  if (algo == "ghc") return std::make_unique<sched::HillClimbingScheduler>();
+  if (algo == "ca") return std::make_unique<dist::ColorwaveScheduler>(sys, seed);
+  if (algo == "exact") return std::make_unique<sched::ExactScheduler>();
+  if (algo == "mc") {
+    return std::make_unique<sched::MultiChannelScheduler>(
+        sched::ChannelOptions{channels});
+  }
+  return nullptr;
+}
 
 Service::Service(ServiceOptions opt)
     : opt_(std::move(opt)),
@@ -316,7 +310,16 @@ bool Service::runAttempt(Job& job, Inflight& inf, Response* out) {
     core::System sys = workload::makeSystem(sc, spec.seed);
     const graph::InterferenceGraph g(sys);
 
-    auto inner = makeScheduler(spec, g, sys, opt_.solver_threads);
+    auto inner = makeScheduler(spec.algo, sys, g, spec.k, spec.rho,
+                               spec.channels, spec.seed, opt_.solver_threads);
+    if (inner == nullptr) {
+      // The request parser rejects unknown names; a spec built in code
+      // can still carry one.
+      out->status = Status::kFailed;
+      out->code = Code::kBadValue;
+      out->detail = "unknown algorithm '" + spec.algo + "'";
+      return true;
+    }
     inner->attachMetrics(opt_.metrics);
     inner->attachTrace(opt_.trace);
     inner->attachCancel(&token);

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,10 +46,26 @@
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sched/scheduler.h"
 #include "service/queue.h"
 #include "service/request.h"
 
+namespace rfid::graph {
+class InterferenceGraph;
+}
+
 namespace rfid::service {
+
+/// The scheduler `algo` names (alg1|alg2|alg3|ghc|ca|exact|mc) for `sys`,
+/// whose interference graph is `g`: alg1 runs block size `k`, alg2 and
+/// alg3 stop growing at ratio `rho`, mc assigns `channels` channels, ca
+/// seeds its protocol with `seed`, and alg1 and alg2 use `threads` solver
+/// threads.  nullptr for an unknown name.  rfidsched_cli and the service
+/// both build their schedulers here.
+std::unique_ptr<sched::OneShotScheduler> makeScheduler(
+    std::string_view algo, const core::System& sys,
+    const graph::InterferenceGraph& g, int k, double rho, int channels,
+    std::uint64_t seed, int threads);
 
 struct ServiceOptions {
   int workers = 2;

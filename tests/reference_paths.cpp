@@ -242,6 +242,59 @@ sched::OneShotResult ScanGrowthScheduler::schedule(const core::System& sys) {
   return {X, sys.weight(X)};
 }
 
+sched::OneShotResult ScanMultiChannelScheduler::schedule(
+    const core::System& sys) {
+  const int n = sys.numReaders();
+  core::WeightEvaluator eval(sys);
+  std::vector<int> chosen;
+  std::vector<int> chan;
+  while (!cancelled()) {
+    int best = -1;
+    int best_delta = 0;
+    int best_channel = -1;
+    for (int v = 0; v < n; ++v) {
+      if (std::find(chosen.begin(), chosen.end(), v) != chosen.end()) continue;
+      // First-fit channel: one with no conflicting co-channel member.
+      int fit = -1;
+      for (int c = 0; c < opt_.num_channels && fit < 0; ++c) {
+        bool ok = true;
+        for (std::size_t i = 0; i < chosen.size(); ++i) {
+          if (chan[i] == c && !sys.independent(chosen[i], v)) {
+            ok = false;
+            break;
+          }
+        }
+        if (ok) fit = c;
+      }
+      if (fit < 0) continue;
+      const int delta = eval.peekDelta(v);
+      if (delta > best_delta) {
+        best_delta = delta;
+        best = v;
+        best_channel = fit;
+      }
+    }
+    if (best < 0) break;
+    eval.push(best);
+    chosen.push_back(best);
+    chan.push_back(best_channel);
+  }
+
+  sched::OneShotResult res;
+  std::vector<std::size_t> order(chosen.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&chosen](std::size_t a, std::size_t b) {
+    return chosen[a] < chosen[b];
+  });
+  for (const std::size_t i : order) {
+    res.readers.push_back(chosen[i]);
+    res.channel.push_back(chan[i]);
+  }
+  res.weight = static_cast<int>(
+      geometricServed(sys, res.readers, res.channel).size());
+  return res;
+}
+
 sched::OneShotResult RefereeAudit::schedule(const core::System& sys) {
   const int call = calls_++;
   const StandaloneCensus census = standaloneCensus(sys);

@@ -9,8 +9,10 @@
 // only coverers(), isRead() and the reader accessors — never bitRow() or
 // coveredTags() — so the bitmap kernels are held to an index they do not
 // read.  ScanGrowthScheduler picks Alg2's coordinator by a full rescan of
-// every alive reader's marginal delta.  (The serial PTAS reference is
-// PtasOptions::num_threads = 1.)
+// every alive reader's marginal delta, and ScanMultiChannelScheduler picks
+// each multi-channel climb step the same way.  (The serial PTAS reference
+// is PtasOptions::num_threads = 1; the scan GHC is
+// HillClimbingScheduler(false).)
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "core/system.h"
 #include "graph/interference_graph.h"
 #include "sched/growth.h"
+#include "sched/hill_climbing.h"
 
 namespace rfid::test::ref {
 
@@ -90,6 +93,25 @@ class ScanGrowthScheduler final : public sched::OneShotScheduler {
   const graph::InterferenceGraph* graph_;
   sched::GrowthOptions opt_;
   sched::GrowthScheduler::Stats stats_;
+};
+
+/// Same schedule as sched::MultiChannelScheduler: each step scans every
+/// unchosen reader for the first channel with no conflicting co-channel
+/// member and takes the largest positive marginal delta (lowest index on
+/// ties), O(n·C·|X|) per pick.  The weight is geometricServed's count; it
+/// bills no metrics or cost.
+class ScanMultiChannelScheduler final : public sched::OneShotScheduler {
+ public:
+  explicit ScanMultiChannelScheduler(sched::ChannelOptions opt = {})
+      : opt_(opt) {}
+
+  std::string name() const override {
+    return "MC" + std::to_string(opt_.num_channels);
+  }
+  sched::OneShotResult schedule(const core::System& sys) override;
+
+ private:
+  sched::ChannelOptions opt_;
 };
 
 /// Decorator that fails the running test unless, at every schedule() call,

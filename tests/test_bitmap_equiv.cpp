@@ -1,6 +1,7 @@
 // test_bitmap_equiv.cpp — the blocked-bitmap weight referee against the
 // coverers reference referee (tests/reference_paths.h, docs/performance.md):
-// raw referee calls on random subsets, every schedule() call of one-shot,
+// raw referee calls on random subsets (also past the interference rows'
+// build cap, against raw geometry), every schedule() call of one-shot,
 // MCS (with and without faults) and resumed runs under ref::RefereeAudit,
 // and streaming churn.  The SFC permutation under the layout is
 // property-tested as a round-trip bijection.
@@ -68,6 +69,82 @@ TEST(BitmapEquiv, RefereeMatchesCsrOnRandomSubsets) {
       for (std::size_t i = 0; i < served.size(); i += 3) sys.markRead(served[i]);
     }
   }
+}
+
+// ---- past the interference rows' build cap: victims by grid queries ----
+
+TEST(BitmapEquiv, CappedInterferenceRowsMatchGeometry) {
+  // 2100 mutually interfering readers (R = 100 in a 20 x 20 square) make
+  // 2100 x 2099 directed row entries, past the rows' build cap of
+  // max(2^22, 64n), so every victim pass runs reader-grid queries instead.
+  // 200 sparse readers far from the cluster keep the served sets non-empty.
+  // Random subsets, single-channel, channeled and with jammers, against the
+  // raw-geometry served set.
+  std::mt19937 rng(2049);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<Reader> readers;
+  for (int i = 0; i < 2100; ++i) {
+    readers.push_back(test::makeReader(20.0 * unit(rng), 20.0 * unit(rng),
+                                       100.0, 2.0));
+  }
+  for (int i = 0; i < 200; ++i) {
+    readers.push_back(test::makeReader(130.0 + 300.0 * unit(rng),
+                                       130.0 + 300.0 * unit(rng),
+                                       6.0 + 6.0 * unit(rng),
+                                       3.0 + 3.0 * unit(rng)));
+  }
+  std::vector<Tag> tags;
+  for (int i = 0; i < 600; ++i) {
+    tags.push_back(test::makeTag(20.0 * unit(rng), 20.0 * unit(rng)));
+  }
+  for (int i = 0; i < 1800; ++i) {
+    tags.push_back(test::makeTag(130.0 + 300.0 * unit(rng),
+                                 130.0 + 300.0 * unit(rng)));
+  }
+  System sys(std::move(readers), std::move(tags));
+  int cluster_tags_served = 0;  // the channeled rounds' reads in the cluster
+  for (int round = 0; round < 30; ++round) {
+    std::vector<int> x;
+    std::vector<int> channel;
+    std::vector<int> jam;
+    const int cluster = static_cast<int>(rng() % 4);
+    for (int k = 0; k < cluster; ++k) {
+      const int v = static_cast<int>(rng() % 2100);
+      if (std::find(x.begin(), x.end(), v) == x.end()) x.push_back(v);
+    }
+    for (int v = 2100; v < sys.numReaders(); ++v) {
+      const unsigned r = rng() % 8;
+      if (r < 3) x.push_back(v);
+      else if (r == 3) jam.push_back(v);
+    }
+    if (round % 3 == 2) jam.push_back(static_cast<int>(rng() % 2100));
+    jam.erase(std::remove_if(jam.begin(), jam.end(),
+                             [&x](int v) {
+                               return std::find(x.begin(), x.end(), v) != x.end();
+                             }),
+              jam.end());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      channel.push_back(static_cast<int>(rng() % 3));
+    }
+    const std::string what = "round " + std::to_string(round);
+    EXPECT_EQ(sys.wellCoveredTags(x), ref::geometricServed(sys, x)) << what;
+    EXPECT_EQ(sys.wellCoveredTags(x, {}, channel),
+              ref::geometricServed(sys, x, channel))
+        << what;
+    EXPECT_EQ(sys.wellCoveredTags(x, jam), ref::geometricServed(sys, x, {}, jam))
+        << what;
+    EXPECT_EQ(sys.wellCoveredTags(x, jam, channel),
+              ref::geometricServed(sys, x, channel, jam))
+        << what;
+    EXPECT_EQ(sys.weight(x),
+              static_cast<int>(ref::geometricServed(sys, x).size()))
+        << what;
+    const std::vector<int> served = sys.wellCoveredTags(x, {}, channel);
+    cluster_tags_served += static_cast<int>(
+        std::count_if(served.begin(), served.end(), [](int t) { return t < 600; }));
+    for (std::size_t i = 0; i < served.size(); i += 4) sys.markRead(served[i]);
+  }
+  EXPECT_GT(cluster_tags_served, 0);
 }
 
 // ---- every schedule() call of one-shot and MCS runs, audited ----

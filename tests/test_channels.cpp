@@ -1,12 +1,15 @@
 // Multi-channel scheduling tests (§VII extension): channel feasibility,
-// the channel-aware referee, and monotonicity in the channel count.
+// the System referee's channel model, and monotonicity in the channel
+// count.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "check/invariants.h"
 #include "fault/fault_plan.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
-#include "sched/channels.h"
+#include "reference_paths.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"
@@ -23,8 +26,10 @@ TEST(Channels, FeasibilityRequiresIndependenceOnlyWithinChannel) {
                                        makeReader(5, 0, 10.0, 4.0)};
   const core::System sys(std::move(readers), {makeTag(1, 0)});
   const std::vector<int> both = {0, 1};
-  EXPECT_FALSE(isChannelFeasible(sys, both, std::vector<int>{0, 0}));
-  EXPECT_TRUE(isChannelFeasible(sys, both, std::vector<int>{0, 1}));
+  EXPECT_NE(test::ref::firstDependentPair(sys, both, std::vector<int>{0, 0}),
+            std::nullopt);
+  EXPECT_EQ(test::ref::firstDependentPair(sys, both, std::vector<int>{0, 1}),
+            std::nullopt);
 }
 
 TEST(Channels, RefereeRemovesRtcOnlyWithinChannel) {
@@ -35,10 +40,10 @@ TEST(Channels, RefereeRemovesRtcOnlyWithinChannel) {
   const core::System sys(std::move(readers), std::move(tags));
   const std::vector<int> both = {0, 1};
   // Same channel: mutual RTc, nothing read (matches System::weight).
-  EXPECT_TRUE(wellCoveredTagsChanneled(sys, both, std::vector<int>{0, 0}).empty());
+  EXPECT_TRUE(sys.wellCoveredTags(both, {}, std::vector<int>{0, 0}).empty());
   EXPECT_EQ(sys.weight(both), 0);
   // Different channels: both read their exclusive tag.
-  EXPECT_EQ(wellCoveredTagsChanneled(sys, both, std::vector<int>{0, 1}),
+  EXPECT_EQ(sys.wellCoveredTags(both, {}, std::vector<int>{0, 1}),
             (std::vector<int>{0, 1}));
 }
 
@@ -47,7 +52,7 @@ TEST(Channels, RrcPersistsAcrossChannels) {
   // lost no matter the channels (the tag cannot separate the signals).
   const core::System sys = test::figure2System();
   const std::vector<int> ab = {0, 1};  // A and B share Tag2
-  const auto served = wellCoveredTagsChanneled(sys, ab, std::vector<int>{0, 1});
+  const auto served = sys.wellCoveredTags(ab, {}, std::vector<int>{0, 1});
   EXPECT_TRUE(std::find(served.begin(), served.end(), 1) == served.end());
 }
 
@@ -61,7 +66,7 @@ TEST(Channels, SingleChannelMatchesSystemReferee) {
         if (rng.bernoulli(0.25)) x.push_back(v);
       }
       const std::vector<int> chan(x.size(), 0);
-      EXPECT_EQ(wellCoveredTagsChanneled(sys, x, chan), sys.wellCoveredTags(x));
+      EXPECT_EQ(sys.wellCoveredTags(x, {}, chan), sys.wellCoveredTags(x));
     }
   }
 }
@@ -71,7 +76,8 @@ TEST(Channels, SchedulerAssignmentsAreChannelFeasible) {
     const core::System sys = test::smallRandomSystem(seed, 20, 120, 50.0);
     MultiChannelScheduler mc(ChannelOptions{3});
     const OneShotResult res = mc.schedule(sys);
-    EXPECT_TRUE(isChannelFeasible(sys, res.readers, res.channel));
+    EXPECT_EQ(test::ref::firstDependentPair(sys, res.readers, res.channel),
+              std::nullopt);
     for (const int c : res.channel) {
       EXPECT_GE(c, 0);
       EXPECT_LT(c, 3);
@@ -113,8 +119,8 @@ TEST(Channels, ChanneledMcsCompletes) {
 }
 
 TEST(Channels, MultiChannelSchedulerRecordsMetricsAndCost) {
-  // Like GHC: one schedule call per slot, its peekDelta calls as weight
-  // evaluations, its picks as candidates, and its own cost phase.
+  // Like GHC: one schedule call per slot, the lazy queue's work units as
+  // weight evaluations, its picks as candidates, and its own cost phases.
   core::System sys = workload::makeSystem(workload::paperScenario(10, 4), 1);
   obs::MetricsRegistry reg;
   obs::CostLedger ledger;
@@ -135,7 +141,7 @@ TEST(Channels, MultiChannelSchedulerRecordsMetricsAndCost) {
   EXPECT_EQ(reg.counter("sched.candidates").value(), picks);
   const obs::CostBill* phase = ledger.phase("mc.selection");
   ASSERT_NE(phase, nullptr);
-  EXPECT_GE(phase->weight_evals, reg.counter("sched.weight_evals").value());
+  EXPECT_EQ(phase->queue_work, reg.counter("sched.weight_evals").value());
 #endif
 }
 
@@ -178,8 +184,8 @@ TEST(Channels, LoudJammerIsChannelBlind) {
     const core::System sys = twoReaders();
     const std::vector<int> live = {0};
     const std::vector<int> jam = {1};
-    EXPECT_TRUE(wellCoveredTagsChanneled(sys, live, std::vector<int>{0}, jam).empty());
-    EXPECT_TRUE(wellCoveredTagsChanneled(sys, live, std::vector<int>{1}, jam).empty());
+    EXPECT_TRUE(sys.wellCoveredTags(live, jam, std::vector<int>{0}).empty());
+    EXPECT_TRUE(sys.wellCoveredTags(live, jam, std::vector<int>{1}).empty());
   }
   {
     // Transient loud crash: slot 0 serves nothing although its proposal

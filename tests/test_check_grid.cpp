@@ -22,7 +22,6 @@
 #include "check/invariants.h"
 #include "fault/fault_plan.h"
 #include "reference_paths.h"
-#include "sched/channels.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"

@@ -20,7 +20,6 @@
 #include "fault/fault_plan.h"
 #include "graph/interference_graph.h"
 #include "obs/metrics.h"
-#include "sched/channels.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"

@@ -8,7 +8,6 @@
 #include "distributed/colorwave.h"
 #include "distributed/growth_distributed.h"
 #include "graph/interference_graph.h"
-#include "sched/channels.h"
 #include "sched/growth.h"
 #include "sched/hill_climbing.h"
 #include "sched/mcs.h"
@@ -80,10 +79,9 @@ TEST_P(FuzzSweep, AllSchedulersSatisfySlotInvariants) {
     // Run several slots, mutating read state, checking each outcome.
     for (int slot = 0; slot < 4; ++slot) {
       const sched::OneShotResult one = s->schedule(sys);
-      // MC's proposals carry their channels: the channel-aware referee
-      // counts them, and its claimed weight must match that count exactly.
-      const auto served =
-          sched::wellCoveredTagsChanneled(sys, one.readers, one.channel);
+      // MC's proposals carry their channels: the referee counts them in the
+      // channel model, and the claimed weight must match that count exactly.
+      const auto served = sys.wellCoveredTags(one.readers, {}, one.channel);
       checkSlotInvariants(sys, one.readers, one.channel, served);
       ASSERT_EQ(one.weight, static_cast<int>(served.size())) << s->name();
       sys.markRead(served);

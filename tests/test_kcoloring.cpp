@@ -5,6 +5,7 @@
 #include "distributed/kcoloring.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
+#include "reference_paths.h"
 #include "sched/mcs.h"
 #include "test_helpers.h"
 
@@ -51,10 +52,10 @@ TEST(KColoring, WeightMatchesChanneledReferee) {
   const core::System sys = test::smallRandomSystem(2, 18, 110, 50.0);
   KColoringScheduler kc(sys, 4, 2);
   const sched::OneShotResult res = kc.schedule(sys);
+  // The weight comes from the System referee; hold it to raw geometry.
   EXPECT_EQ(res.weight,
-            static_cast<int>(sched::wellCoveredTagsChanneled(
-                                 sys, res.readers, res.channel)
-                                 .size()));
+            static_cast<int>(
+                test::ref::geometricServed(sys, res.readers, res.channel).size()));
 }
 
 TEST(KColoring, EnoughChannelsConverge) {
@@ -83,8 +84,7 @@ TEST(KColoring, RrcBlindSpotLeavesOverlapTagsUnread) {
   core::System sys = test::figure2System();
   KColoringScheduler kc(sys, 8, 7);
   const auto res = kc.schedule(sys);
-  const auto served =
-      sched::wellCoveredTagsChanneled(sys, res.readers, res.channel);
+  const auto served = sys.wellCoveredTags(res.readers, {}, res.channel);
   // Tags 2 and 3 (indices 1, 2) sit in overlaps and cannot be served.
   EXPECT_TRUE(std::find(served.begin(), served.end(), 1) == served.end());
   EXPECT_TRUE(std::find(served.begin(), served.end(), 2) == served.end());

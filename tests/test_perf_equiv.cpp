@@ -4,10 +4,10 @@
 // Every optimized selection path (bitmap + inverted index, lazy-greedy queue,
 // component / shift parallelism) is compared against its reference on the
 // same instance — the full-scan Alg2 (tests/reference_paths.h), the scan
-// GHC, and the PTAS shift loop at one thread: one-shot results, MCS slot
-// sequences (with and without fault injection), stats, and
-// checkpoint/resume continuations must all be byte-identical, for every
-// thread count.
+// GHC and multi-channel climb, and the PTAS shift loop at one thread:
+// one-shot results, MCS slot sequences (with and without fault injection),
+// stats, and checkpoint/resume continuations must all be byte-identical, for
+// every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,10 +36,31 @@ core::System midSystem(std::uint64_t seed, int n = 90, int m = 1600) {
   return test::smallRandomSystem(seed, n, m, /*side=*/70.0);
 }
 
+/// midSystem's scale in the four layouts.
+constexpr workload::Layout kLayouts[] = {
+    workload::Layout::kUniform, workload::Layout::kClusteredTags,
+    workload::Layout::kAisles, workload::Layout::kGridReaders};
+
+core::System layoutSystem(std::uint64_t seed, workload::Layout layout) {
+  workload::Scenario sc;
+  sc.layout = layout;
+  sc.deploy.num_readers = 90;
+  sc.deploy.num_tags = 1600;
+  sc.deploy.region_side = 70.0;
+  sc.deploy.lambda_R = 8.0;
+  sc.deploy.lambda_r = 4.0;
+  sc.num_clusters = 6;
+  sc.num_aisles = 7;
+  sc.grid_cols = 10;
+  sc.grid_rows = 9;
+  return workload::makeSystem(sc, seed);
+}
+
 void expectSameResult(const OneShotResult& a, const OneShotResult& b,
                       const std::string& what) {
   EXPECT_EQ(a.readers, b.readers) << what;
   EXPECT_EQ(a.weight, b.weight) << what;
+  EXPECT_EQ(a.channel, b.channel) << what;
 }
 
 void expectSameMcs(const McsResult& a, const McsResult& b,
@@ -53,6 +74,8 @@ void expectSameMcs(const McsResult& a, const McsResult& b,
     EXPECT_EQ(a.schedule[i].active, b.schedule[i].active)
         << what << " slot " << i;
     EXPECT_EQ(a.schedule[i].tags_read, b.schedule[i].tags_read)
+        << what << " slot " << i;
+    EXPECT_EQ(a.schedule[i].channel, b.schedule[i].channel)
         << what << " slot " << i;
   }
   EXPECT_EQ(a.degradation.faulty_slots, b.degradation.faulty_slots) << what;
@@ -167,6 +190,21 @@ TEST(PerfEquiv, HillClimbingLazyMatchesReference) {
     expectSameResult(ref.schedule(sys), lazy.schedule(sys),
                      "ghc seed " + std::to_string(seed));
   }
+  // The same climb with C channels against the multi-channel scan: readers,
+  // channels and weight, in every layout.
+  for (const std::uint64_t seed : test::seedRange(31, test::iterBudget(2))) {
+    for (const workload::Layout layout : kLayouts) {
+      const core::System sys = layoutSystem(seed, layout);
+      for (const int c : {1, 2, 3, 4}) {
+        test::ref::ScanMultiChannelScheduler ref(ChannelOptions{c});
+        MultiChannelScheduler lazy(ChannelOptions{c});
+        expectSameResult(ref.schedule(sys), lazy.schedule(sys),
+                         "mc seed " + std::to_string(seed) + " layout " +
+                             std::to_string(static_cast<int>(layout)) +
+                             " C " + std::to_string(c));
+      }
+    }
+  }
 }
 
 TEST(PerfEquiv, PtasParallelShiftsMatchSequential) {
@@ -233,6 +271,21 @@ TEST(PerfEquiv, McsSlotSequencesIdenticalAcrossPaths) {
       const McsResult got = runCoveringSchedule(sys, s, {});
       expectSameMcs(ghc_want, got, "ghc mcs seed " + std::to_string(seed));
     }
+
+    // mc: scan vs lazy, every layout and channel count (channels per slot).
+    for (const workload::Layout layout : kLayouts) {
+      for (const int c : {1, 2, 3, 4}) {
+        core::System ref_sys = layoutSystem(seed, layout);
+        test::ref::ScanMultiChannelScheduler ref(ChannelOptions{c});
+        const McsResult mc_want = runCoveringSchedule(ref_sys, ref, {});
+        core::System sys = layoutSystem(seed, layout);
+        MultiChannelScheduler s(ChannelOptions{c});
+        expectSameMcs(mc_want, runCoveringSchedule(sys, s, {}),
+                      "mc mcs seed " + std::to_string(seed) + " layout " +
+                          std::to_string(static_cast<int>(layout)) + " C " +
+                          std::to_string(c));
+      }
+    }
   }
 }
 
@@ -278,6 +331,22 @@ TEST(PerfEquiv, FaultInjectedMcsIdenticalAcrossPaths) {
     McsOptions opt;
     opt.faults = &plan;
     expectSameMcs(ghc_want, runCoveringSchedule(sys, s, opt), "ghc fault mcs");
+  }
+
+  for (const workload::Layout layout : kLayouts) {
+    for (const int c : {1, 2, 3, 4}) {
+      McsOptions opt;
+      opt.faults = &plan;
+      core::System ref_sys = layoutSystem(61, layout);
+      test::ref::ScanMultiChannelScheduler ref(ChannelOptions{c});
+      const McsResult mc_want = runCoveringSchedule(ref_sys, ref, opt);
+      core::System sys = layoutSystem(61, layout);
+      MultiChannelScheduler s(ChannelOptions{c});
+      expectSameMcs(mc_want, runCoveringSchedule(sys, s, opt),
+                    "mc fault mcs layout " +
+                        std::to_string(static_cast<int>(layout)) + " C " +
+                        std::to_string(c));
+    }
   }
 }
 

@@ -62,7 +62,10 @@ RULES = (
 # The fixed bench points: each parameter lives only here.
 CLI_N2000 = ("--algo", "alg2", "--mode", "mcs", "--readers", "2000",
              "--tags", "48000", "--side", "632.455", "--seed", "7")
-CLI_MODES = {"cli/default": (), "cli/single_thread": ("--threads", "1")}
+# Later flags win, so cli/mc runs the same deployment under the channeled
+# climb.
+CLI_MODES = {"cli/default": (), "cli/single_thread": ("--threads", "1"),
+             "cli/mc": ("--algo", "mc", "--channels", "2")}
 CLI_COUNTERS = ("sched.weight_evals", "sched.schedule_calls",
                 "core.weight_evals", "mcs.slots", "mcs.tags_read")
 MICRO_FILTER = ("BM_(SystemConstruction|SystemBuild|WeightEvaluation|"

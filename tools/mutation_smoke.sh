@@ -56,10 +56,10 @@ overlap_args="--load $overlap_csv --algo ghc --mode mcs --check"
 # accounting, double acks, and session-persistence windows, escalated to
 # exit 5 under --check.  Only this run executes src/protocol/gen2.cpp.
 gen2_args="--algo ghc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check --link gen2"
-# The multi-channel scheduler: its proposals carry channels, so the slot
-# step referees them with wellCoveredTagsChanneled and the oracle re-derives
+# The multi-channel scheduler: its proposals carry channels, so the System
+# referees them in the channel model and the oracle re-derives
 # same-channel-only RTc from geometry.  Only this run executes the
-# channeled referee.
+# referee's channel filter.
 mc_args="--algo mc --mode mcs --readers 25 --tags 300 --side 70 --seed 11 --check"
 
 # name|file|pattern|replacement  (POSIX basic regexps for sed/grep -c)
@@ -90,12 +90,12 @@ mutants=(
   # a collision, so no tag is ever identified; the round burns its frame cap,
   # reports incomplete, and the replay check exits 5.  Deterministic, no UB.
   "gen2-mpr-threshold-off|src/protocol/gen2.cpp|static_cast<int>(b.size()) <= k|static_cast<int>(b.size()) < k"
-  # Channel-blind RTc: the channeled referee victimizes readers on *other*
-  # channels too, the multi-channel bug this referee exists to prevent.
-  # The mc run's slots serve, and its scheduler claims, fewer tags than
-  # geometry dictates: the oracle's served-set and claimed-weight checks
-  # exit 5.
-  "channel-blind-rtc|src/sched/channels.cpp|channel\[i\] != channel\[j\]) continue;|false) continue;"
+  # Channel-blind RTc: System::markVictims drops its channel filter, so a
+  # channeled radiator victimizes readers on *other* channels too, the
+  # multi-channel bug the channel model exists to prevent.  The mc run's
+  # slots serve, and its scheduler claims, fewer tags than geometry
+  # dictates: the oracle's served-set and claimed-weight checks exit 5.
+  "channel-blind-rtc|src/core/system.cpp|scratch.channel\[static_cast<std::size_t>(u)\] != c) return;|false) return;"
   # The oracle's own bucket grid (src/check/bucket_grid.h) narrows its query
   # ring: the upper column of cells a disk's box overlaps is never visited,
   # so geometricCoverage loses coverers that sit one cell to the right.  The

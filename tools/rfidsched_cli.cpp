@@ -93,10 +93,8 @@
 #include "check/invariants.h"
 #include "ckpt/budget.h"
 #include "ckpt/mcs_ckpt.h"
-#include "distributed/colorwave.h"
 #include "fault/channel_model.h"
 #include "fault/fault_plan.h"
-#include "distributed/growth_distributed.h"
 #include "graph/interference_graph.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
@@ -104,14 +102,10 @@
 #include "obs/trace.h"
 #include "protocol/gen2.h"
 #include "protocol/slot_timing.h"
-#include "sched/channels.h"
-#include "sched/exact.h"
-#include "sched/growth.h"
-#include "sched/hill_climbing.h"
 #include "sched/mcs.h"
-#include "sched/ptas.h"
 #include "sched/streaming.h"
 #include "service/queue.h"
+#include "service/service.h"
 #include "service/signals.h"
 #include "workload/churn.h"
 #include "workload/io.h"
@@ -538,31 +532,10 @@ int main(int argc, char** argv) {
   }
   const graph::InterferenceGraph g(sys);
 
-  std::unique_ptr<sched::OneShotScheduler> scheduler;
-  if (cli.algo == "alg1") {
-    sched::PtasOptions o;
-    o.k = cli.k;
-    o.num_threads = cli.threads;
-    scheduler = std::make_unique<sched::PtasScheduler>(o);
-  } else if (cli.algo == "alg2") {
-    sched::GrowthOptions o;
-    o.rho = cli.rho;
-    o.num_threads = cli.threads;
-    scheduler = std::make_unique<sched::GrowthScheduler>(g, o);
-  } else if (cli.algo == "alg3") {
-    dist::DistributedGrowthOptions o;
-    o.rho = cli.rho;
-    scheduler = std::make_unique<dist::GrowthDistributedScheduler>(g, o);
-  } else if (cli.algo == "ghc") {
-    scheduler = std::make_unique<sched::HillClimbingScheduler>();
-  } else if (cli.algo == "ca") {
-    scheduler = std::make_unique<dist::ColorwaveScheduler>(sys, cli.seed);
-  } else if (cli.algo == "exact") {
-    scheduler = std::make_unique<sched::ExactScheduler>();
-  } else if (cli.algo == "mc") {
-    scheduler = std::make_unique<sched::MultiChannelScheduler>(
-        sched::ChannelOptions{cli.channels});
-  } else {
+  const std::unique_ptr<sched::OneShotScheduler> scheduler =
+      service::makeScheduler(cli.algo, sys, g, cli.k, cli.rho, cli.channels,
+                             cli.seed, cli.threads);
+  if (scheduler == nullptr) {
     std::cerr << "invalid value for --algo: " << cli.algo << "\n";
     usage();
     return 2;
@@ -769,7 +742,7 @@ int main(int argc, char** argv) {
       // claimed weight from raw geometry, served set by the naive scan.
       if (validator.beginRun(sys)) {
         const std::vector<int> served =
-            sched::wellCoveredTagsChanneled(sys, res.readers, res.channel);
+            sys.wellCoveredTags(res.readers, {}, res.channel);
         validator.checkSlot(sys, 0, res, res.readers, {}, served);
       }
       check_failed = !validator.ok();
