@@ -1,11 +1,11 @@
 // Microbenchmarks for the one-shot schedulers: cost per scheduling decision
 // as the system scales, and the full MCS loop at paper scale.
 //
-// The BM_OneShot* benchmarks run with NO metrics registry attached — they
-// double as the "obs enabled but unsubscribed" overhead measurement against
-// a -DRFIDSCHED_NO_OBS build (EXPERIMENTS.md).  BM_OneShotInstrumented runs
-// the same decision with a registry attached and reports the work counters
-// (weight evaluations per schedule() call) alongside the timing.
+// The BM_OneShot* benchmarks run with NO metrics registry attached — the
+// "obs compiled in but unsubscribed" cost (EXPERIMENTS.md).
+// BM_OneShotInstrumented runs the same decision with a registry attached and
+// reports the work counters (weight evaluations per schedule() call)
+// alongside the timing.
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -106,8 +106,8 @@ struct RunTelemetry {
 
 /// Loaders parse the in-memory text (any returns false + `err` on bad
 /// input); the *File variants read the file first.  Loading marks the
-/// corresponding has_* flag.  An RFIDSCHED_NO_OBS run writes "{}" metrics
-/// and an empty cost ledger — both load cleanly to empty sections.
+/// corresponding has_* flag.  An empty object ("{}") loads cleanly to an
+/// empty section.
 bool loadMetricsJson(std::string_view text, RunTelemetry& out,
                      std::string* err = nullptr);
 bool loadTraceJsonl(std::string_view text, RunTelemetry& out,

@@ -31,8 +31,6 @@ void CostBill::writeJson(std::ostream& os) const {
   os << '}';
 }
 
-#ifndef RFIDSCHED_NO_OBS
-
 void CostLedger::charge(std::string_view phase, const CostBill& bill) {
   if (bill.zero()) return;
   auto it = phases_.find(phase);
@@ -86,18 +84,5 @@ bool CostLedger::writeJsonFile(const std::string& path) const {
   out << '\n';
   return out.good();
 }
-
-#else  // RFIDSCHED_NO_OBS
-
-void CostLedger::writeJson(std::ostream& os, int) const { os << "{}"; }
-
-bool CostLedger::writeJsonFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{}\n";
-  return out.good();
-}
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

@@ -18,11 +18,8 @@
 // export is bit-identical for every `--threads` value (tests/test_cost.cpp
 // holds this byte-for-byte).
 //
-// Like the rest of rfid::obs, CostLedger degrades to an inert stub under
-// -DRFIDSCHED_NO_OBS.  CostBill itself stays a plain struct in both modes:
-// it is inert data with no dependencies, and keeping it real lets callers
-// accumulate locals unconditionally (the increments ride on loops that
-// already walk the data being counted).
+// CostBill is a plain struct: callers accumulate locals unconditionally (the
+// increments ride on loops that already walk the data being counted).
 #pragma once
 
 #include <cstdint>
@@ -30,10 +27,8 @@
 #include <string>
 #include <string_view>
 
-#ifndef RFIDSCHED_NO_OBS
 #include <map>
 #include <vector>
-#endif
 
 namespace rfid::obs {
 
@@ -112,8 +107,6 @@ inline constexpr CostField kCostFields[] = {
     {"net_rounds", &CostBill::net_rounds},
 };
 
-#ifndef RFIDSCHED_NO_OBS
-
 /// Serial-order sink for CostBills.  charge() adds a bill to a named phase
 /// (dot-separated, e.g. "alg2.selection"); commitSlot() appends the next
 /// MCS slot's bill (the driver computes it as the delta of total() across
@@ -149,29 +142,5 @@ class CostLedger {
   std::vector<CostBill> slots_;
   CostBill total_;
 };
-
-#else  // RFIDSCHED_NO_OBS — inert stub, same API, zero cost.
-
-class CostLedger {
- public:
-  CostLedger() = default;
-  CostLedger(const CostLedger&) = delete;
-  CostLedger& operator=(const CostLedger&) = delete;
-
-  void charge(std::string_view, const CostBill&) {}
-  void commitSlot(const CostBill&) {}
-  const CostBill& total() const { return empty_; }
-  const CostBill* phase(std::string_view) const { return nullptr; }
-  std::size_t numPhases() const { return 0; }
-  std::size_t numSlots() const { return 0; }
-  const CostBill& slot(std::size_t) const { return empty_; }
-  void writeJson(std::ostream& os, int indent = 0) const;  // emits "{}"
-  bool writeJsonFile(const std::string& path) const;
-
- private:
-  CostBill empty_;
-};
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

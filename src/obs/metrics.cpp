@@ -3,18 +3,14 @@
 #include <fstream>
 #include <ostream>
 
-#ifndef RFIDSCHED_NO_OBS
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
 #include <vector>
-#endif
 
 namespace rfid::obs {
-
-#ifndef RFIDSCHED_NO_OBS
 
 namespace {
 
@@ -280,26 +276,5 @@ bool MetricsRegistry::writePrometheusFile(const std::string& path) const {
   writePrometheus(os);
   return static_cast<bool>(os);
 }
-
-#else  // RFIDSCHED_NO_OBS
-
-void MetricsRegistry::writeJson(std::ostream& os, int indent) const {
-  for (int i = 0; i < indent; ++i) os << ' ';
-  os << "{}";
-}
-
-bool MetricsRegistry::writeJsonFile(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{}\n";
-  return static_cast<bool>(os);
-}
-
-bool MetricsRegistry::writePrometheusFile(const std::string& path) const {
-  std::ofstream os(path);
-  return static_cast<bool>(os);
-}
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

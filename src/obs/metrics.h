@@ -14,9 +14,6 @@
 //      per iteration, merged sequentially in index order afterwards
 //      (see bench_common.h), which makes the sidecar JSON bit-identical at
 //      any analysis::parallelFor thread count.
-//   3. Fully compiled out under -DRFIDSCHED_NO_OBS: every class degrades to
-//      an empty inline stub so call sites compile unchanged and the
-//      optimizer erases them.
 //
 // Naming convention (docs/observability.md): dot-separated lowercase paths,
 // `<subsystem>.<quantity>`, e.g. "mcs.slots", "sched.weight_evals",
@@ -28,17 +25,13 @@
 #include <string>
 #include <string_view>
 
-#ifndef RFIDSCHED_NO_OBS
 #include <atomic>
 #include <map>
 #include <mutex>
 
 #include "analysis/stats.h"
-#endif
 
 namespace rfid::obs {
-
-#ifndef RFIDSCHED_NO_OBS
 
 /// Monotonically increasing integer metric.  Thread-safe (relaxed atomic):
 /// concurrent adds from parallel sweeps produce exact totals.
@@ -144,55 +137,5 @@ class MetricsRegistry {
   // name-sorted iteration for deterministic export.
   std::map<std::string, Entry, std::less<>> entries_;
 };
-
-#else  // RFIDSCHED_NO_OBS — inert stubs, same API, zero cost.
-
-class Counter {
- public:
-  void add(std::int64_t = 1) {}
-  std::int64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-  void record(double) {}
-  std::int64_t count() const { return 0; }
-  double min() const { return 0.0; }
-  double max() const { return 0.0; }
-  double mean() const { return 0.0; }
-  double percentile(double) const { return 0.0; }
-  void merge(const Histogram&) {}
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  Histogram& histogram(std::string_view) { return histogram_; }
-  bool empty() const { return true; }
-  void merge(const MetricsRegistry&) {}
-  void writeJson(std::ostream& os, int indent = 0) const;  // emits "{}"
-  bool writeJsonFile(const std::string& path) const;
-  void writePrometheus(std::ostream&) const {}
-  bool writePrometheusFile(const std::string& path) const;
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

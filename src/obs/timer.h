@@ -28,13 +28,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#ifndef RFIDSCHED_NO_OBS
 #include <chrono>
-#endif
 
 namespace rfid::obs {
-
-#ifndef RFIDSCHED_NO_OBS
 
 class ScopedTimer {
  public:
@@ -113,21 +109,5 @@ class ScopedTimer {
   std::uint64_t parent_id_ = 0;
   bool stopped_ = false;
 };
-
-#else  // RFIDSCHED_NO_OBS
-
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry*, std::string_view, TraceSink* = nullptr,
-              std::string_view = {}, EventKind = EventKind::kSpan) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  void arg(std::string_view, double) {}
-  void setParent(std::uint64_t) {}
-  std::uint64_t spanId() const { return 0; }
-  std::int64_t stop() { return 0; }
-};
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

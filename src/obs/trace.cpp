@@ -3,12 +3,10 @@
 #include <fstream>
 #include <ostream>
 
-#ifndef RFIDSCHED_NO_OBS
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
-#endif
 
 namespace rfid::obs {
 
@@ -26,8 +24,6 @@ const char* eventKindName(EventKind k) {
   }
   return "span";
 }
-
-#ifndef RFIDSCHED_NO_OBS
 
 namespace {
 
@@ -211,26 +207,5 @@ bool TraceSink::writeChromeTraceFile(const std::string& path) const {
   os << '\n';
   return static_cast<bool>(os);
 }
-
-#else  // RFIDSCHED_NO_OBS
-
-bool TraceSink::writeJsonlFile(const std::string& path) const {
-  std::ofstream os(path);
-  return static_cast<bool>(os);
-}
-
-void TraceSink::writeChromeTrace(std::ostream& os) const {
-  os << "{\"traceEvents\": []}";
-}
-
-bool TraceSink::writeChromeTraceFile(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
-  writeChromeTrace(os);
-  os << '\n';
-  return static_cast<bool>(os);
-}
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

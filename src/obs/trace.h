@@ -23,9 +23,6 @@
 //                       are emitted sorted by (tid, ts) so timestamps are
 //                       monotonically non-decreasing per thread row, and
 //                       span/parent ids ride in args.
-//
-// Like the metrics registry, the whole class degrades to an inert stub
-// under -DRFIDSCHED_NO_OBS.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +32,11 @@
 #include <utility>
 #include <vector>
 
-#ifndef RFIDSCHED_NO_OBS
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
-#endif
 
 namespace rfid::obs {
 
@@ -75,8 +70,6 @@ struct TraceEvent {
   std::uint64_t parent_id = 0;  // 0 => root (or unparented instant)
   std::vector<TraceArg> args;
 };
-
-#ifndef RFIDSCHED_NO_OBS
 
 class TraceSink {
  public:
@@ -131,33 +124,5 @@ class TraceSink {
   mutable std::mutex tid_mu_;
   std::map<std::thread::id, int> tids_;
 };
-
-#else  // RFIDSCHED_NO_OBS
-
-class TraceSink {
- public:
-  TraceSink() = default;
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  std::int64_t nowUs() const { return 0; }
-  std::uint64_t newSpanId() { return 0; }
-  void pushSpan(std::uint64_t) {}
-  void popSpan() {}
-  std::uint64_t currentSpan() const { return 0; }
-  int threadId() { return 0; }
-  void complete(EventKind, std::string, std::int64_t, std::int64_t,
-                std::vector<TraceArg> = {}, int = 0, std::uint64_t = 0,
-                std::uint64_t = 0) {}
-  void instant(EventKind, std::string, std::vector<TraceArg> = {}, int = 0) {}
-  std::size_t size() const { return 0; }
-  std::vector<TraceEvent> snapshot() const { return {}; }
-  void writeJsonl(std::ostream&) const {}
-  bool writeJsonlFile(const std::string& path) const;
-  void writeChromeTrace(std::ostream& os) const;  // "{"traceEvents": []}"
-  bool writeChromeTraceFile(const std::string& path) const;
-};
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace rfid::obs

@@ -54,147 +54,25 @@ namespace {
 
 LinkTimingResult timeScheduleGen2(core::System& sys,
                                   const sched::McsResult& schedule,
-                                  const LinkOptions& opt, workload::Rng& rng) {
-  LinkTimingResult res;
-  res.link = Link::kGen2;
+                                  const LinkOptions& opt,
+                                  const workload::Rng& rng) {
   sys.resetReads();
-
-  const std::size_t n = static_cast<std::size_t>(sys.numTags());
   // The replay never marks reads on `sys`, so wellCoveredTags yields each
-  // slot's *physical* population (stale repliers included); the schedule's
-  // own read-state is tracked locally to tell fresh reads from stale ones.
-  std::vector<char> mcs_read(n, 0);
-  std::vector<int> last_ident(n, std::numeric_limits<int>::min() / 2);
-  std::vector<int> owner_pos(static_cast<std::size_t>(sys.numReaders()), -1);
-  Gen2SessionState session;
-  session.ensure(n);
-
-  Gen2Options round_opt = opt.gen2;
-  round_opt.metrics = nullptr;  // aggregate once below
-  const int persist = persistenceSlots(round_opt);
-  const bool persistence_check =
-      !round_opt.alternate_target && (round_opt.session == Gen2Session::kS2 ||
-                                      round_opt.session == Gen2Session::kS3);
-
-  std::vector<std::vector<int>> pops;
-  const auto fail = [&res](const std::string& why) {
-    if (res.check_ok) {
-      res.check_ok = false;
-      res.check_detail = why;
-    }
-  };
-
+  // slot's *physical* population (stale repliers included); the timer
+  // tracks the schedule's own read-state to tell fresh reads from stale.
+  Gen2LinkTimer timer(sys, opt.gen2, rng);
   int slot_idx = 0;
   for (const sched::SlotRecord& slot : schedule.schedule) {
-    session.startSlot(slot_idx, round_opt);
-    // The co-simulation pins target A: alternating targets would suppress
-    // fresh tags every other macro-slot, which the covering schedule's
-    // read requirement cannot absorb (docs/protocol.md).
-    const Gen2Target target = Gen2Target::kA;
-
-    const std::vector<int> phys =
-        sys.wellCoveredTags(slot.active, {}, slot.channel);
-    // Group the physical population by its unique radiating owner.
-    pops.assign(slot.active.size(), {});
-    for (std::size_t i = 0; i < slot.active.size(); ++i) {
-      owner_pos[static_cast<std::size_t>(slot.active[i])] =
-          static_cast<int>(i);
-    }
-    for (const int t : phys) {
-      for (const int v : sys.coverers(t)) {
-        const int pos = owner_pos[static_cast<std::size_t>(v)];
-        if (pos >= 0) {
-          pops[static_cast<std::size_t>(pos)].push_back(t);
-          break;  // exactly-one coverage ⇒ unique active coverer
-        }
-      }
-    }
-    for (const int v : slot.active) {
-      owner_pos[static_cast<std::size_t>(v)] = -1;
-    }
-
-    std::int64_t slot_max_us = 0;
-    std::int64_t slot_max_micro = 0;
-    int fresh_this_slot = 0;
-    for (std::size_t i = 0; i < slot.active.size(); ++i) {
-      if (pops[i].empty()) continue;
-      const int v = slot.active[i];
-      workload::Rng reader_rng =
-          rng.split("gen2.slot", static_cast<std::uint64_t>(slot_idx))
-              .split("gen2.reader", static_cast<std::uint64_t>(v));
-      const Gen2RoundResult r = runGen2Round(pops[i], session, slot_idx,
-                                             target, reader_rng, round_opt);
-      slot_max_us = std::max(slot_max_us, r.air_us);
-      slot_max_micro = std::max(slot_max_micro, r.micro_slots);
-      res.micro_slots_serial += r.micro_slots;
-      res.air_us_serial += r.air_us;
-      res.frames += r.frames;
-      res.session_skips += r.session_skips;
-      res.identified += static_cast<std::int64_t>(r.identified.size());
-      if (r.double_identified) {
-        ++res.double_identifications;
-        std::ostringstream os;
-        os << "gen2: reader " << v << " acknowledged a tag twice in one "
-           << "round (slot " << slot_idx << ")";
-        fail(os.str());
-      }
-      if (!r.completed) {
-        std::ostringstream os;
-        os << "gen2: reader " << v << " round incomplete at slot " << slot_idx
-           << " (safety cap hit with repliers unresolved)";
-        fail(os.str());
-      }
-      for (const int t : r.identified) {
-        const auto ti = static_cast<std::size_t>(t);
-        if (persistence_check && slot_idx - last_ident[ti] <= persist) {
-          std::ostringstream os;
-          os << "gen2: tag " << t << " re-identified at slot " << slot_idx
-             << ", " << (slot_idx - last_ident[ti])
-             << " slot(s) after its last read, inside the session "
-             << "persistence window (" << persist << ")";
-          fail(os.str());
-        }
-        last_ident[ti] = slot_idx;
-        if (mcs_read[ti] != 0) {
-          ++res.stale_repliers;
-        } else {
-          mcs_read[ti] = 1;
-          ++fresh_this_slot;
-        }
-      }
-    }
-    if (fresh_this_slot != slot.tags_read) {
-      std::ostringstream os;
-      os << "gen2: slot " << slot_idx << " identified " << fresh_this_slot
-         << " fresh tag(s) but the schedule recorded " << slot.tags_read;
-      fail(os.str());
-    }
-    res.air_us += slot_max_us;
-    res.micro_slots += slot_max_micro;
-    res.tags_read += fresh_this_slot;
-    ++res.macro_slots;
-    ++slot_idx;
+    timer.onSlot(slot_idx++, slot.active,
+                 sys.wellCoveredTags(slot.active, {}, slot.channel),
+                 slot.tags_read);
   }
   // Leave `sys` fully re-marked, as the unit and aloha/tree replays do.
-  for (std::size_t t = 0; t < n; ++t) {
-    if (mcs_read[t] != 0) sys.markRead(static_cast<int>(t));
+  for (int t = 0; t < sys.numTags(); ++t) {
+    if (timer.hasRead(t)) sys.markRead(t);
   }
-
-  if (opt.metrics != nullptr) {
-    obs::MetricsRegistry& m = *opt.metrics;
-    m.counter("protocol.gen2.macro_slots").add(res.macro_slots);
-    m.counter("protocol.gen2.frames").add(res.frames);
-    m.counter("protocol.gen2.micro_slots").add(res.micro_slots_serial);
-    m.counter("protocol.gen2.air_us").add(res.air_us);
-    m.counter("protocol.gen2.air_us_serial").add(res.air_us_serial);
-    m.counter("protocol.gen2.tags_identified").add(res.identified);
-    m.counter("protocol.gen2.fresh_reads").add(res.tags_read);
-    m.counter("protocol.gen2.session_skips").add(res.session_skips);
-    m.counter("protocol.gen2.stale_repliers").add(res.stale_repliers);
-    m.counter("protocol.gen2.double_identifications")
-        .add(res.double_identifications);
-  }
-  return res;
+  timer.flushMetrics(opt.metrics);
+  return timer.result();
 }
 
 }  // namespace
@@ -271,19 +149,42 @@ Gen2LinkTimer::Gen2LinkTimer(const core::System& sys, const Gen2Options& opt,
     : sys_(&sys), opt_(opt), rng_(rng) {
   opt_.metrics = nullptr;  // aggregated via flushMetrics
   opt_.trace = nullptr;
+  persist_ = persistenceSlots(opt_);
+  persistence_check_ =
+      !opt_.alternate_target &&
+      (opt_.session == Gen2Session::kS2 || opt_.session == Gen2Session::kS3);
   res_.link = Link::kGen2;
   owner_pos_.assign(static_cast<std::size_t>(sys.numReaders()), -1);
   session_.ensure(static_cast<std::size_t>(sys.numTags()));
 }
 
+bool Gen2LinkTimer::hasRead(int t) const {
+  const auto ti = static_cast<std::size_t>(t);
+  return ti < read_.size() && read_[ti] != 0;
+}
+
+void Gen2LinkTimer::fail(const std::string& why) {
+  if (res_.check_ok) {
+    res_.check_ok = false;
+    res_.check_detail = why;
+  }
+}
+
 void Gen2LinkTimer::onSlot(int slot, std::span<const int> active,
-                           std::span<const int> served) {
+                           std::span<const int> population, int credited) {
+  // A stream adds tags between slots; the read-state follows the System.
+  const auto m = static_cast<std::size_t>(sys_->numTags());
+  if (read_.size() < m) {
+    read_.resize(m, 0);
+    last_ident_.resize(m, std::numeric_limits<int>::min() / 2);
+  }
   session_.startSlot(slot, opt_);
+  // Group the population by its unique active coverer.
   pops_.assign(active.size(), {});
   for (std::size_t i = 0; i < active.size(); ++i) {
     owner_pos_[static_cast<std::size_t>(active[i])] = static_cast<int>(i);
   }
-  for (const int t : served) {
+  for (const int t : population) {
     for (const int v : sys_->coverers(t)) {
       const int pos = owner_pos_[static_cast<std::size_t>(v)];
       if (pos >= 0) {
@@ -296,13 +197,16 @@ void Gen2LinkTimer::onSlot(int slot, std::span<const int> active,
 
   std::int64_t slot_max_us = 0;
   std::int64_t slot_max_micro = 0;
-  std::int64_t identified = 0;
+  int fresh_this_slot = 0;
   for (std::size_t i = 0; i < active.size(); ++i) {
     if (pops_[i].empty()) continue;
     const int v = active[i];
     workload::Rng reader_rng =
         rng_.split("gen2.slot", static_cast<std::uint64_t>(slot))
             .split("gen2.reader", static_cast<std::uint64_t>(v));
+    // The co-simulation pins target A: alternating targets would suppress
+    // fresh tags every other macro-slot, which the covering schedule's
+    // read requirement cannot absorb (docs/protocol.md).
     const Gen2RoundResult r = runGen2Round(pops_[i], session_, slot,
                                            Gen2Target::kA, reader_rng, opt_);
     slot_max_us = std::max(slot_max_us, r.air_us);
@@ -311,29 +215,48 @@ void Gen2LinkTimer::onSlot(int slot, std::span<const int> active,
     res_.air_us_serial += r.air_us;
     res_.frames += r.frames;
     res_.session_skips += r.session_skips;
-    identified += static_cast<std::int64_t>(r.identified.size());
-    if (r.double_identified) ++res_.double_identifications;
-    if ((r.double_identified || !r.completed) && res_.check_ok) {
+    res_.identified += static_cast<std::int64_t>(r.identified.size());
+    if (r.double_identified) {
+      ++res_.double_identifications;
       std::ostringstream os;
-      os << "gen2: reader " << v << " at stream slot " << slot << " "
-         << (r.double_identified ? "acknowledged a tag twice in one round"
-                                 : "round incomplete (safety cap hit)");
-      res_.check_ok = false;
-      res_.check_detail = os.str();
+      os << "gen2: reader " << v << " acknowledged a tag twice in one "
+         << "round (slot " << slot << ")";
+      fail(os.str());
+    }
+    if (!r.completed) {
+      std::ostringstream os;
+      os << "gen2: reader " << v << " round incomplete at slot " << slot
+         << " (safety cap hit with repliers unresolved)";
+      fail(os.str());
+    }
+    for (const int t : r.identified) {
+      const auto ti = static_cast<std::size_t>(t);
+      if (persistence_check_ && slot - last_ident_[ti] <= persist_) {
+        std::ostringstream os;
+        os << "gen2: tag " << t << " re-identified at slot " << slot << ", "
+           << (slot - last_ident_[ti])
+           << " slot(s) after its last read, inside the session "
+           << "persistence window (" << persist_ << ")";
+        fail(os.str());
+      }
+      last_ident_[ti] = slot;
+      if (read_[ti] != 0) {
+        ++res_.stale_repliers;
+      } else {
+        read_[ti] = 1;
+        ++fresh_this_slot;
+      }
     }
   }
-  if (identified != static_cast<std::int64_t>(served.size()) &&
-      res_.check_ok) {
+  if (fresh_this_slot != credited) {
     std::ostringstream os;
-    os << "gen2: stream slot " << slot << " identified " << identified
-       << " tag(s) but the driver served " << served.size();
-    res_.check_ok = false;
-    res_.check_detail = os.str();
+    os << "gen2: slot " << slot << " identified " << fresh_this_slot
+       << " fresh tag(s) but the schedule recorded " << credited;
+    fail(os.str());
   }
-  res_.identified += identified;
-  res_.tags_read += static_cast<int>(served.size());
   res_.air_us += slot_max_us;
   res_.micro_slots += slot_max_micro;
+  res_.tags_read += fresh_this_slot;
   ++res_.macro_slots;
 }
 
@@ -348,6 +271,7 @@ void Gen2LinkTimer::flushMetrics(obs::MetricsRegistry* metrics) const {
   m.counter("protocol.gen2.tags_identified").add(res_.identified);
   m.counter("protocol.gen2.fresh_reads").add(res_.tags_read);
   m.counter("protocol.gen2.session_skips").add(res_.session_skips);
+  m.counter("protocol.gen2.stale_repliers").add(res_.stale_repliers);
   m.counter("protocol.gen2.double_identifications")
       .add(res_.double_identifications);
 }

@@ -107,6 +107,7 @@ std::unique_ptr<sched::OneShotScheduler> makeScheduler(
     std::string_view algo, const core::System& sys,
     const graph::InterferenceGraph& g, int k, double rho, int channels,
     std::uint64_t seed, int threads) {
+  if (channels < 1) return nullptr;
   if (algo == "alg1") {
     sched::PtasOptions o;
     o.k = k;
@@ -313,11 +314,14 @@ bool Service::runAttempt(Job& job, Inflight& inf, Response* out) {
     auto inner = makeScheduler(spec.algo, sys, g, spec.k, spec.rho,
                                spec.channels, spec.seed, opt_.solver_threads);
     if (inner == nullptr) {
-      // The request parser rejects unknown names; a spec built in code
-      // can still carry one.
+      // The request parser rejects unknown names and channels < 1; a spec
+      // built in code can still carry either.
       out->status = Status::kFailed;
       out->code = Code::kBadValue;
-      out->detail = "unknown algorithm '" + spec.algo + "'";
+      out->detail = spec.channels < 1
+                        ? "channels must be >= 1, got " +
+                              std::to_string(spec.channels)
+                        : "unknown algorithm '" + spec.algo + "'";
       return true;
     }
     inner->attachMetrics(opt_.metrics);

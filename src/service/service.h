@@ -60,8 +60,9 @@ namespace rfid::service {
 /// whose interference graph is `g`: alg1 runs block size `k`, alg2 and
 /// alg3 stop growing at ratio `rho`, mc assigns `channels` channels, ca
 /// seeds its protocol with `seed`, and alg1 and alg2 use `threads` solver
-/// threads.  nullptr for an unknown name.  rfidsched_cli and the service
-/// both build their schedulers here.
+/// threads.  nullptr for an unknown name or for `channels` < 1, which
+/// rfidsched_cli and the request parser reject for every algo.
+/// rfidsched_cli and the service both build their schedulers here.
 std::unique_ptr<sched::OneShotScheduler> makeScheduler(
     std::string_view algo, const core::System& sys,
     const graph::InterferenceGraph& g, int k, double rho, int channels,

@@ -131,7 +131,6 @@ TEST(Channels, MultiChannelSchedulerRecordsMetricsAndCost) {
   opt.cost = &ledger;
   const McsResult res = runCoveringSchedule(sys, mc, opt);
   EXPECT_TRUE(res.completed);
-#ifndef RFIDSCHED_NO_OBS
   EXPECT_EQ(reg.counter("sched.schedule_calls").value(), res.slots);
   EXPECT_GT(reg.counter("sched.weight_evals").value(), 0);
   std::int64_t picks = 0;
@@ -142,7 +141,6 @@ TEST(Channels, MultiChannelSchedulerRecordsMetricsAndCost) {
   const obs::CostBill* phase = ledger.phase("mc.selection");
   ASSERT_NE(phase, nullptr);
   EXPECT_EQ(phase->queue_work, reg.counter("sched.weight_evals").value());
-#endif
 }
 
 TEST(Channels, PaperDefaultMcsPassesTheStrictValidator) {

@@ -4,9 +4,6 @@
 // the exported attribution JSON is byte-for-byte identical across
 // --threads counts — on plain MCS runs, under a fault plan, and through a
 // checkpoint interrupt/resume cycle.
-//
-// Value assertions ride inside #ifndef RFIDSCHED_NO_OBS; the unguarded
-// tests exercise the stub API so a NO_OBS build compiles every call site.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -80,7 +77,7 @@ TEST(CostBill, JsonCarriesEveryFieldInDeclarationOrder) {
   EXPECT_NE(j.find("\"net_rounds\":2"), std::string::npos);
 }
 
-// --- ledger API (stub-safe) --------------------------------------------------
+// --- ledger API --------------------------------------------------------------
 
 TEST(CostLedger, ApiIsUsableInEveryBuildMode) {
   obs::CostLedger ledger;
@@ -95,8 +92,6 @@ TEST(CostLedger, ApiIsUsableInEveryBuildMode) {
   (void)ledger.numPhases();
   (void)ledger.numSlots();
 }
-
-#ifndef RFIDSCHED_NO_OBS
 
 // --- ledger semantics --------------------------------------------------------
 
@@ -272,8 +267,6 @@ TEST_F(CostCkptTest, ResumedRunReproducesTheUninterruptedAttribution) {
       costJsonCheckpointed(4, dir_ + "/cut", /*resume=*/true, /*slot_cap=*/0);
   EXPECT_EQ(base, resumed);
 }
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace
 }  // namespace rfid

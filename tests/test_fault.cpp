@@ -315,11 +315,8 @@ std::string faultyRunJson(int threads) {
 
 TEST(FaultDeterminism, MetricsExportIsByteIdenticalAcrossRunsAndThreads) {
   const std::string at1 = faultyRunJson(1);
-#ifndef RFIDSCHED_NO_OBS
-  // The stub build exports "{}"; byte-identity below still holds there.
   EXPECT_NE(at1.find("fault.net.dropped"), std::string::npos);
   EXPECT_NE(at1.find("fault.mcs.faulty_slots"), std::string::npos);
-#endif
   EXPECT_EQ(at1, faultyRunJson(1));  // run-to-run
   EXPECT_EQ(at1, faultyRunJson(4));  // thread-count independence
   EXPECT_EQ(at1, faultyRunJson(7));

@@ -226,7 +226,6 @@ TEST(FaultMcs, FaultCountersMatchDegradationStruct) {
   opt.faults = &plan;
   const McsResult res = runCoveringSchedule(sys, ghc, opt);
 
-#ifndef RFIDSCHED_NO_OBS
   const std::string json = dumpJson(reg);
   EXPECT_NE(json.find("fault.mcs.crashed_activations"), std::string::npos);
   EXPECT_EQ(reg.counter("fault.mcs.crashed_activations").value(),
@@ -239,9 +238,6 @@ TEST(FaultMcs, FaultCountersMatchDegradationStruct) {
             res.degradation.faulty_slots);
   EXPECT_EQ(reg.counter("fault.mcs.slots_lost").value(),
             res.degradation.slots_lost);
-#else
-  (void)res;
-#endif
 }
 
 }  // namespace

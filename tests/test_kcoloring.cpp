@@ -34,7 +34,6 @@ TEST(KColoring, RecordsMetricsAndCost) {
   kc.attachCost(&ledger);
   const sched::OneShotResult a = kc.schedule(sys);
   (void)kc.schedule(sys);
-#ifndef RFIDSCHED_NO_OBS
   EXPECT_EQ(reg.counter("sched.schedule_calls").value(), 2);
   EXPECT_EQ(reg.counter("sched.weight_evals").value(), 2);
   EXPECT_GE(reg.counter("sched.candidates").value(), 2);
@@ -44,7 +43,6 @@ TEST(KColoring, RecordsMetricsAndCost) {
   EXPECT_EQ(phase->weight_evals, 2);
   EXPECT_GT(phase->net_messages, 0);
   EXPECT_GT(phase->net_rounds, 0);
-#endif
   EXPECT_EQ(static_cast<int>(a.readers.size()), sys.numReaders());
 }
 

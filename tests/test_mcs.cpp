@@ -125,11 +125,9 @@ TEST(Mcs, InfeasibleProposalsTripStallGuardNotTheSlotCap) {
     EXPECT_EQ(s.active.size(), 2u);
     EXPECT_EQ(s.tags_read, 0);
   }
-#ifndef RFIDSCHED_NO_OBS
   EXPECT_EQ(reg.counter("mcs.stall_slots").value(), 12);
   EXPECT_EQ(reg.counter("mcs.slots").value(), 12);
   EXPECT_EQ(reg.counter("mcs.tags_read").value(), 0);
-#endif
 }
 
 TEST(Mcs, MaxSlotsRespected) {

@@ -1,10 +1,6 @@
 // test_obs.cpp — the rfid::obs observability layer: registry semantics,
 // histogram percentiles, trace export well-formedness, parallel-sweep
 // determinism, and the MCS driver's counter contract.
-//
-// Value-asserting tests are guarded with #ifndef RFIDSCHED_NO_OBS; the
-// unguarded tests exercise the stub API so a NO_OBS build still compiles
-// and runs every call site.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,7 +166,7 @@ std::string dumpJson(const obs::MetricsRegistry& r) {
   return os.str();
 }
 
-// --- stub-safe API exercises (compile and run in both build modes) ----------
+// --- API exercises -----------------------------------------------------------
 
 TEST(Obs, ApiIsUsableInEveryBuildMode) {
   obs::MetricsRegistry r;
@@ -182,7 +178,7 @@ TEST(Obs, ApiIsUsableInEveryBuildMode) {
   {
     obs::ScopedTimer t(&r, "a.span_us", &sink, "span");
     t.arg("k", 2.0);
-    t.setParent(t.spanId());  // span APIs must exist in the stub too
+    t.setParent(t.spanId());
   }
   (void)sink.newSpanId();
   sink.pushSpan(1);
@@ -195,10 +191,8 @@ TEST(Obs, ApiIsUsableInEveryBuildMode) {
   sink.writeChromeTrace(chrome);
   EXPECT_TRUE(JsonValidator(chrome.str()).valid()) << chrome.str();
   std::ostringstream prom;
-  r.writePrometheus(prom);  // no-op in the stub, text exposition otherwise
+  r.writePrometheus(prom);
 }
-
-#ifndef RFIDSCHED_NO_OBS
 
 // --- registry semantics -----------------------------------------------------
 
@@ -627,7 +621,5 @@ TEST(ObsWiring, TraceCapturesOneSpanPerSlot) {
   // With a trace attached, the wall-clock histogram rides along.
   EXPECT_EQ(r.histogram("mcs.slot_us").count(), res.slots);
 }
-
-#endif  // RFIDSCHED_NO_OBS
 
 }  // namespace

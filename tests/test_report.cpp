@@ -4,9 +4,8 @@
 // inclusive/exclusive accounting), and the baseline comparison that
 // reproduces the lazy-vs-reference ratio from telemetry alone.
 //
-// Everything here works on literal telemetry strings, so the suite runs
-// identically in RFIDSCHED_NO_OBS builds (the report consumes files, not
-// live sinks).
+// Everything here works on literal telemetry strings: the report consumes
+// files, not live sinks.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -118,7 +117,7 @@ TEST(ReportLoad, MetricsTraceAndCostRoundTrip) {
 }
 
 TEST(ReportLoad, EmptyObjectLoadsCleanly) {
-  // An RFIDSCHED_NO_OBS run writes "{}" for metrics and cost alike.
+  // "{}" is the smallest valid metrics or cost file.
   RunTelemetry run;
   EXPECT_TRUE(loadMetricsJson("{}", run));
   EXPECT_TRUE(loadCostJson("{}", run));

@@ -419,6 +419,36 @@ TEST(ServiceEndToEnd, MultiChannelRequestCompletesThePaperDefault) {
   EXPECT_TRUE(svc.drain(1000).clean());
 }
 
+TEST(ServiceEndToEnd, SpecBuiltInCodeWithABadValueFailsClosed) {
+  // The request parser rejects both values; a spec built in code reaches
+  // the scheduler factory with them and must be answered, not run.
+  ServiceOptions opt;
+  opt.workers = 1;
+  Service svc(opt);
+  svc.start();
+  RequestSpec no_channels = tinySpec("mc0");
+  no_channels.algo = "mc";
+  no_channels.channels = 0;
+  RequestSpec bogus = tinySpec("bogus");
+  bogus.algo = "bogus";
+  std::vector<std::shared_ptr<Ticket>> tickets;
+  for (RequestSpec* spec : {&no_channels, &bogus}) {
+    Response reject;
+    auto t = svc.submit(std::move(*spec), &reject);
+    ASSERT_NE(t, nullptr) << codeName(reject.code);
+    tickets.push_back(std::move(t));
+  }
+  const Response mc0 = tickets[0]->wait();
+  EXPECT_EQ(mc0.status, Status::kFailed);
+  EXPECT_EQ(mc0.code, Code::kBadValue);
+  EXPECT_NE(mc0.detail.find("channels"), std::string::npos) << mc0.detail;
+  const Response bad = tickets[1]->wait();
+  EXPECT_EQ(bad.status, Status::kFailed);
+  EXPECT_EQ(bad.code, Code::kBadValue);
+  EXPECT_NE(bad.detail.find("bogus"), std::string::npos) << bad.detail;
+  EXPECT_TRUE(svc.drain(1000).clean());
+}
+
 TEST(ServiceEndToEnd, MaxSlotsBoundsTheRunAndStaysOk) {
   ServiceOptions opt;
   opt.workers = 1;

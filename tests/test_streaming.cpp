@@ -503,7 +503,6 @@ TEST_F(StreamCkptTest, InterruptThenResumeIsBitIdentical) {
   EXPECT_EQ(base.metrics, res.metrics);
 }
 
-#ifndef RFIDSCHED_NO_OBS
 TEST_F(StreamCkptTest, ResumedStreamTracesItsReplay) {
   // Like a resumed static run, a resumed stream closes its trace with one
   // ckpt.replay instant counting the slots it re-verified.
@@ -524,7 +523,6 @@ TEST_F(StreamCkptTest, ResumedStreamTracesItsReplay) {
   }
   EXPECT_EQ(replays, 1);
 }
-#endif
 
 TEST_F(StreamCkptTest, JournalIdentityIncludesTheChurnTrace) {
   const workload::ChurnTrace trace = ckptTrace();

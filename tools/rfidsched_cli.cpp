@@ -849,14 +849,16 @@ int main(int argc, char** argv) {
     st_opt.shed_after_slots = cli.shed_after;
     // Online gen2 co-simulation rides the driver's commit hook — every
     // committed busy slot (including replayed ones on resume) is arbitrated
-    // as it lands, with session flags carried across slots.
+    // as it lands, over the tags it served, with session flags carried
+    // across slots.
     std::unique_ptr<protocol::Gen2LinkTimer> link_timer;
     if (cli.link == "gen2") {
       link_timer = std::make_unique<protocol::Gen2LinkTimer>(
           sys, buildGen2Options(cli), workload::Rng(cli.seed).split("link"));
       st_opt.on_commit = [&link_timer](int slot, std::span<const int> active,
                                        std::span<const int> served) {
-        link_timer->onSlot(slot, active, served);
+        link_timer->onSlot(slot, active, served,
+                           static_cast<int>(served.size()));
       };
     }
     const sched::StreamingCheckpointedRun run =

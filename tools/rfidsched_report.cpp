@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
 
   if (!svg_path.empty()) {
     if (!analysis::hasPerSlotData(run)) {
-      // Not an error: a metrics-only run (or a NO_OBS build's stub
-      // telemetry) simply has nothing to chart.
+      // Not an error: a metrics-only run simply has nothing to chart.
       std::cerr << "svg skipped: no per-slot data in the loaded telemetry\n";
     } else if (analysis::writeReportSvgFile(svg_path, run)) {
       std::cout << "svg written to " << svg_path << '\n';
