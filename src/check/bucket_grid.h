@@ -1,18 +1,20 @@
 // bucket_grid.h — the oracle's own uniform bucket grid (docs/testing.md).
 //
-// check/ answers its raw-geometry questions (which readers cover a tag,
+// check/ answers its raw-geometry questions (which tags a reader covers,
 // which transmitters interfere with a reader) by enumerating the points in
 // the grid cells near a query instead of scanning every point.  The grid
 // shares no code with geom::SpatialGrid, the Morton order or the bitmap
 // rows, so the oracle stays independent of the index it audits.  It only
 // proposes candidates: every caller still applies its own exact predicate,
-// so a query may offer extra points but must never miss one.
+// so a query may offer extra points but must never miss one.  It reads the
+// points through an accessor and keeps only the cell offsets and one 32-bit
+// index per point, so bucketing a System's tags copies no positions.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "geometry/vec2.h"
@@ -21,19 +23,22 @@ namespace rfid::check {
 
 class BucketGrid {
  public:
-  /// Buckets point i = pts[i] into a CSR of cells by counting sort.  Cells
-  /// are at least `min_width` wide (the callers' largest query radius) and
-  /// at most about twice as many as the points: a sparse set spread far
-  /// apart widens the cells instead of allocating an empty plane.
-  BucketGrid(std::span<const geom::Vec2> pts, double min_width) {
-    const std::size_t n = pts.size();
+  /// Buckets points 0..count−1, point i at pos(i), into a CSR of cells by
+  /// counting sort.  Cells are at least `min_width` wide (the callers'
+  /// largest query radius) and at most about twice as many as the points:
+  /// a sparse set spread far apart widens the cells instead of allocating
+  /// an empty plane.
+  template <typename Pos>
+  BucketGrid(std::size_t count, Pos&& pos, double min_width) {
     double x1 = 0.0;
     double y1 = 0.0;
-    if (n > 0) {
-      x0_ = x1 = pts[0].x;
-      y0_ = y1 = pts[0].y;
+    if (count > 0) {
+      const geom::Vec2 p = pos(std::size_t{0});
+      x0_ = x1 = p.x;
+      y0_ = y1 = p.y;
     }
-    for (const geom::Vec2& p : pts) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const geom::Vec2 p = pos(i);
       x0_ = std::min(x0_, p.x);
       y0_ = std::min(y0_, p.y);
       x1 = std::max(x1, p.x);
@@ -41,7 +46,7 @@ class BucketGrid {
     }
     const double wx = x1 - x0_;
     const double wy = y1 - y0_;
-    const double np = static_cast<double>(std::max<std::size_t>(n, 1));
+    const double np = static_cast<double>(std::max<std::size_t>(count, 1));
     // With w >= sqrt(wx·wy/n) and w >= (wx+wy)/n the cell count
     // (wx/w + 1)(wy/w + 1) stays at most 2n + 1.
     w_ = std::max({min_width, std::sqrt(wx * wy / np), (wx + wy) / np});
@@ -53,18 +58,19 @@ class BucketGrid {
       w_ = 1.0;  // overflowed extents or all radii zero: one cell holds all
       nx_ = ny_ = 1;
     }
-    std::vector<int> cell(n);
+    const auto cellOf = [&](std::size_t i) {
+      const geom::Vec2 p = pos(i);
+      return static_cast<std::size_t>(lowCell((p.y - y0_) / w_, ny_) * nx_ +
+                                      lowCell((p.x - x0_) / w_, nx_));
+    };
+    // off_[c] counts cell c, then holds its end; filling backwards leaves
+    // it at the cell's start with the points ascending inside it.
     off_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      cell[i] = lowCell((pts[i].y - y0_) / w_, ny_) * nx_ +
-                lowCell((pts[i].x - x0_) / w_, nx_);
-      ++off_[static_cast<std::size_t>(cell[i]) + 1];
-    }
+    for (std::size_t i = 0; i < count; ++i) ++off_[cellOf(i)];
     for (std::size_t c = 1; c < off_.size(); ++c) off_[c] += off_[c - 1];
-    idx_.resize(n);
-    std::vector<int> at(off_.begin(), off_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      idx_[static_cast<std::size_t>(at[static_cast<std::size_t>(cell[i])]++)] = i;
+    idx_.resize(count);
+    for (std::size_t i = count; i-- > 0;) {
+      idx_[--off_[cellOf(i)]] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -85,8 +91,8 @@ class BucketGrid {
     for (int cy = ylo; cy <= yhi; ++cy) {
       for (int cx = xlo; cx <= xhi; ++cx) {
         const auto cid = static_cast<std::size_t>(cy * nx_ + cx);
-        for (int k = off_[cid]; k < off_[cid + 1]; ++k) {
-          f(idx_[static_cast<std::size_t>(k)]);
+        for (std::uint32_t k = off_[cid]; k < off_[cid + 1]; ++k) {
+          f(std::size_t{idx_[k]});
         }
       }
     }
@@ -110,8 +116,8 @@ class BucketGrid {
   double w_ = 1.0;
   int nx_ = 1;
   int ny_ = 1;
-  std::vector<int> off_;          // nx·ny + 1 cell offsets into idx_
-  std::vector<std::size_t> idx_;  // point indices, grouped by cell
+  std::vector<std::uint32_t> off_;  // nx·ny + 1 cell offsets into idx_
+  std::vector<std::uint32_t> idx_;  // point indices, grouped by cell
 };
 
 }  // namespace rfid::check

@@ -8,10 +8,11 @@
 // schedulers compute from then on.  The IncrementalIndexOracle closes that
 // hole the same way check/invariants.h does for slots: periodically
 // rebuild the expected index from *raw geometry* — check::geometricCoverage,
-// which enumerates candidate reader×tag pairs from the oracle's own bucket
-// grid (check/bucket_grid.h, O(n + m + local pairs)) and shares no code
-// with the incremental splices, the spatial grid or the bitmap rows — and
-// compare FNV fingerprints against the live index.
+// which buckets the tags in the oracle's own grid (check/bucket_grid.h),
+// takes each reader's candidates from its γ disk and transposes the reader
+// rows into tag rows (O(n + m + local pairs)), sharing no code with the
+// incremental splices, the spatial grid or the bitmap rows — and compare
+// FNV fingerprints against the live index.
 //
 // On a divergence the oracle fails the incremental path closed: it records
 // the issue, bumps `check.index_divergence`, switches itself to paranoid

@@ -1,6 +1,7 @@
 #include "check/invariants.h"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -49,13 +50,13 @@ struct ReaderGrid {
 
 ReaderGrid readerGrid(const core::System& sys, std::span<const int> readers) {
   double reach = 0.0;
-  std::vector<geom::Vec2> pos;
-  pos.reserve(readers.size());
   for (const int v : readers) {
     reach = std::max(reach, sys.reader(v).interference_radius);
-    pos.push_back(sys.reader(v).pos);
   }
-  return {reach, BucketGrid(pos, reach)};
+  return {reach, BucketGrid(
+                     readers.size(),
+                     [&](std::size_t i) { return sys.reader(readers[i]).pos; },
+                     reach)};
 }
 
 /// One slot's radiators as per-reader marks for the exactly-one walk.  The
@@ -116,44 +117,48 @@ RadiatorMarks radiatorMarks(const core::System& sys, std::span<const int> rad,
 GeometricCoverage geometricCoverage(const core::System& sys) {
   const auto n = static_cast<std::size_t>(sys.numReaders());
   const auto m = static_cast<std::size_t>(sys.numTags());
-  // Readers bucketed by the largest interrogation radius: a tag's possible
-  // coverers sit in the cells its γ_max box overlaps, and the exact
-  // inclusive test picks them out.
+  // Tags bucketed in cells at least as wide as the largest interrogation
+  // radius: the tags a reader covers sit in the cells its own γ box
+  // overlaps, and the exact inclusive test picks them out.  The box reaches
+  // |γ|, as far as dist² <= γ² accepts a tag whatever γ's sign.  Reader
+  // rows come out first, one query each; the grid is gone before the tag
+  // rows are allocated.
   double reach = 0.0;
-  std::vector<geom::Vec2> pos;
-  pos.reserve(n);
   for (const core::Reader& r : sys.readers()) {
     reach = std::max(reach, r.interrogation_radius);
-    pos.push_back(r.pos);
   }
-  const BucketGrid grid(pos, reach);
   GeometricCoverage g;
-  g.covr_off.assign(m + 1, 0);
-  for (std::size_t t = 0; t < m; ++t) {
-    if (!sys.departed(static_cast<int>(t))) {
-      const core::Tag& tag = sys.tag(static_cast<int>(t));
-      const std::size_t first = g.covr_idx.size();
-      grid.forEachNear(tag.pos, reach, [&](std::size_t v) {
-        if (coversGeom(sys.reader(static_cast<int>(v)), tag)) {
-          g.covr_idx.push_back(static_cast<int>(v));
-        }
-      });
-      std::sort(g.covr_idx.begin() + static_cast<std::ptrdiff_t>(first),
-                g.covr_idx.end());
-    }
-    g.covr_off[t + 1] = static_cast<int>(g.covr_idx.size());
-  }
-  // Transpose: walking tags ascending appends each tag to its coverers'
-  // rows in ascending order, so the reader rows come out sorted for free.
   g.cov_off.assign(n + 1, 0);
-  for (const int v : g.covr_idx) ++g.cov_off[static_cast<std::size_t>(v) + 1];
-  for (std::size_t v = 0; v < n; ++v) g.cov_off[v + 1] += g.cov_off[v];
-  g.cov_idx.resize(g.covr_idx.size());
-  std::vector<int> cursor(g.cov_off.begin(), g.cov_off.end() - 1);
-  for (std::size_t t = 0; t < m; ++t) {
-    for (const int v : g.coverers(static_cast<int>(t))) {
-      int& at = cursor[static_cast<std::size_t>(v)];
-      g.cov_idx[static_cast<std::size_t>(at++)] = static_cast<int>(t);
+  {
+    const BucketGrid grid(
+        m, [&](std::size_t t) { return sys.tag(static_cast<int>(t)).pos; },
+        reach);
+    for (std::size_t v = 0; v < n; ++v) {
+      const core::Reader& r = sys.reader(static_cast<int>(v));
+      const std::size_t first = g.cov_idx.size();
+      grid.forEachNear(r.pos, std::abs(r.interrogation_radius),
+                       [&](std::size_t t) {
+                         const int ti = static_cast<int>(t);
+                         if (!sys.departed(ti) && coversGeom(r, sys.tag(ti))) {
+                           g.cov_idx.push_back(ti);
+                         }
+                       });
+      std::sort(g.cov_idx.begin() + static_cast<std::ptrdiff_t>(first),
+                g.cov_idx.end());
+      g.cov_off[v + 1] = static_cast<int>(g.cov_idx.size());
+    }
+  }
+  // Transpose, with covr_off as its own cursor: it counts each tag's row,
+  // then holds the row's end, and filling the rows backwards (readers
+  // descending) leaves it at each row's start with the readers ascending.
+  g.covr_off.assign(m + 1, 0);
+  for (const int t : g.cov_idx) ++g.covr_off[static_cast<std::size_t>(t)];
+  for (std::size_t t = 1; t <= m; ++t) g.covr_off[t] += g.covr_off[t - 1];
+  g.covr_idx.resize(g.cov_idx.size());
+  for (std::size_t v = n; v-- > 0;) {
+    for (const int t : g.coveredTags(static_cast<int>(v))) {
+      int& at = g.covr_off[static_cast<std::size_t>(t)];
+      g.covr_idx[static_cast<std::size_t>(--at)] = static_cast<int>(v);
     }
   }
   return g;

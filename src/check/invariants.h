@@ -102,12 +102,14 @@ struct CheckOptions {
   obs::TraceSink* trace = nullptr;
 };
 
-/// Both coverage directions from positions and radii alone: the readers
-/// bucketed in check/bucket_grid.h by the largest γ, each tag's candidates
-/// tested with the inclusive dist² <= γ² predicate.  It shares nothing with
-/// the System's spatial grid, bitmap rows or incremental splices, and costs
-/// O(n + m + local pairs).  Departed tags get empty rows, as after
-/// System::removeTag.  cov_* is the transpose of covr_*; rows ascend.
+/// Both coverage directions from positions and radii alone, reader by
+/// reader: the tags bucketed in check/bucket_grid.h by the largest γ, each
+/// reader's candidates from its own γ disk tested with the inclusive
+/// dist² <= γ² predicate, and the reader rows transposed into the tag
+/// rows.  It shares nothing with the System's spatial grid, bitmap rows or
+/// incremental splices, and costs O(n + m + local pairs).  Departed tags
+/// get empty rows, as after System::removeTag.  covr_* is the transpose of
+/// cov_*; rows ascend.
 struct GeometricCoverage {
   std::vector<int> covr_off;  // numTags()+1
   std::vector<int> covr_idx;

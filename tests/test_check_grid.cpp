@@ -4,7 +4,9 @@
 // check::geometricCoverage and ScheduleValidator enumerate candidates
 // through their own bucket grid; tests/reference_paths answers the same
 // questions with no enumeration at all.  Over the fuzz matrix (random
-// seeds; clustered, aisle and grid layouts; mixed radii; departed tags) and
+// seeds; clustered, aisle and grid layouts; mixed radii; departed tags;
+// churned systems whose tags arrived, moved outside the construction
+// bounding box or onto a reader's interrogation circle, and departed) and
 // hand-built adversarial inputs (a tag exactly on the interrogation circle,
 // points on cell boundaries, negative coordinates, every point in one
 // place, empty deployments, far-flung sparse readers), the grid must return
@@ -35,9 +37,56 @@ namespace {
 using check::GeometricCoverage;
 using check::ScheduleValidator;
 
+/// `sys` with mixed radii: zero, stretched and γ = R readers.
+core::System mixedRadii(const core::System& sys) {
+  std::vector<core::Reader> readers(sys.readers().begin(), sys.readers().end());
+  std::vector<core::Tag> tags(sys.tags().begin(), sys.tags().end());
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    core::Reader& r = readers[i];
+    if (i % 5 == 0) r.interrogation_radius = 0.0;
+    if (i % 5 == 1) {
+      r.interference_radius *= 4.0;
+      r.interrogation_radius *= 3.0;
+    }
+    if (i % 5 == 2) r.interrogation_radius = r.interference_radius;
+  }
+  return core::System(std::move(readers), std::move(tags));
+}
+
+/// `sys`, built in a 50 × 50 square, after streaming churn: arrivals
+/// inside and far outside that box, moves far outside it and onto every
+/// reader's interrogation circle (three points of it each), and
+/// departures, some of tags that arrived or moved.
+core::System churned(core::System sys, std::uint64_t seed) {
+  workload::Rng rng(seed);
+  const auto liveTag = [&] {
+    int t = rng.uniformInt(0, sys.numTags() - 1);
+    while (sys.departed(t)) t = (t + 1) % sys.numTags();
+    return t;
+  };
+  for (int k = 0; k < 12; ++k) {
+    sys.addTag(test::makeTag(rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)));
+    sys.addTag(test::makeTag(rng.uniform(-200.0, 250.0), rng.uniform(-200.0, 250.0)));
+  }
+  for (int v = 0; v < sys.numReaders(); ++v) {
+    const core::Reader& r = sys.reader(v);
+    const double g = r.interrogation_radius;
+    for (const geom::Vec2 d :
+         {geom::Vec2{g, 0.0}, geom::Vec2{0.0, -g}, geom::Vec2{-0.6 * g, 0.8 * g}}) {
+      sys.moveTag(liveTag(), r.pos + d);
+    }
+  }
+  for (int k = 0; k < 10; ++k) {
+    sys.moveTag(liveTag(), {rng.uniform(-300.0, -60.0), rng.uniform(60.0, 300.0)});
+  }
+  for (int k = 0; k < 25; ++k) sys.removeTag(liveTag());
+  return sys;
+}
+
 /// The fuzz matrix for one seed: the uniform small system, the clustered,
 /// aisle and grid layouts, a mixed-radii variant (zero, stretched and
-/// γ = R readers) and a system with departed tags.
+/// γ = R readers), a system with departed tags, and churned copies of the
+/// uniform and mixed-radii systems.
 std::vector<core::System> fuzzMatrix(std::uint64_t seed) {
   std::vector<core::System> out;
   out.push_back(test::smallRandomSystem(seed, 14, 120, 45.0));
@@ -57,26 +106,15 @@ std::vector<core::System> fuzzMatrix(std::uint64_t seed) {
     sc.grid_rows = 3;
     out.push_back(workload::makeSystem(sc, seed));
   }
-  {
-    const core::System base = test::smallRandomSystem(seed + 1000, 16, 140, 50.0);
-    std::vector<core::Reader> readers(base.readers().begin(), base.readers().end());
-    std::vector<core::Tag> tags(base.tags().begin(), base.tags().end());
-    for (std::size_t i = 0; i < readers.size(); ++i) {
-      core::Reader& r = readers[i];
-      if (i % 5 == 0) r.interrogation_radius = 0.0;
-      if (i % 5 == 1) {
-        r.interference_radius *= 4.0;
-        r.interrogation_radius *= 3.0;
-      }
-      if (i % 5 == 2) r.interrogation_radius = r.interference_radius;
-    }
-    out.emplace_back(std::move(readers), std::move(tags));
-  }
+  out.push_back(mixedRadii(test::smallRandomSystem(seed + 1000, 16, 140, 50.0)));
   {
     core::System sys = test::smallRandomSystem(seed + 2000, 14, 120, 45.0);
     for (int t = 0; t < sys.numTags(); t += 7) sys.removeTag(t);
     out.push_back(std::move(sys));
   }
+  out.push_back(churned(test::smallRandomSystem(seed + 3000, 16, 140, 50.0), seed + 3001));
+  out.push_back(churned(mixedRadii(test::smallRandomSystem(seed + 4000, 16, 140, 50.0)),
+                        seed + 4001));
   return out;
 }
 
@@ -230,7 +268,8 @@ TEST(BucketGrid, QueriesNeverMissAPointInTheDisk) {
       }
     }
     const double width = rng.uniform(0.0, 40.0);
-    const check::BucketGrid grid(pts, width);
+    const check::BucketGrid grid(
+        pts.size(), [&](std::size_t i) { return pts[i]; }, width);
     for (int q = 0; q < 200; ++q) {
       const geom::Vec2 c = q % 2 == 0
                                ? geom::Vec2{rng.uniform(-350.0, 350.0),

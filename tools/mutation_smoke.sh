@@ -98,9 +98,9 @@ mutants=(
   "channel-blind-rtc|src/core/system.cpp|scratch.channel\[static_cast<std::size_t>(u)\] != c) return;|false) return;"
   # The oracle's own bucket grid (src/check/bucket_grid.h) narrows its query
   # ring: the upper column of cells a disk's box overlaps is never visited,
-  # so geometricCoverage loses coverers that sit one cell to the right.  The
-  # oracle then disagrees with a correct System; the gen run's begin audit
-  # exits 5 with begin.coverage-row-mismatch.
+  # so geometricCoverage drops the tags in the upper column of a reader's
+  # box.  The oracle then disagrees with a correct System; the gen run's
+  # begin audit exits 5 with begin.coverage-row-mismatch.
   "check-grid-narrow-ring|src/check/bucket_grid.h|for (int cx = xlo; cx <= xhi; ++cx)|for (int cx = xlo; cx < xhi; ++cx)"
 )
 
