@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -157,7 +158,10 @@ OneShotResult HillClimbingScheduler::scheduleReference(const core::System& sys) 
 }
 
 MultiChannelScheduler::MultiChannelScheduler(ChannelOptions opt) : opt_(opt) {
-  assert(opt_.num_channels >= 1);
+  if (opt_.num_channels < 1) {
+    throw std::invalid_argument("MultiChannelScheduler: num_channels " +
+                                std::to_string(opt_.num_channels) + " < 1");
+  }
 }
 
 std::string MultiChannelScheduler::name() const {

@@ -84,6 +84,7 @@ struct ChannelOptions {
 /// assignment, C = 1 included, and the System referee's weight for it.
 class MultiChannelScheduler final : public ClimbingScheduler {
  public:
+  /// Throws std::invalid_argument when opt.num_channels < 1.
   explicit MultiChannelScheduler(ChannelOptions opt = {});
 
   std::string name() const override;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 
 #include "check/invariants.h"
 #include "fault/fault_plan.h"
@@ -93,6 +94,14 @@ TEST(Channels, OneChannelEqualsGhc) {
     HillClimbingScheduler ghc;
     EXPECT_EQ(mc.schedule(sys).weight, ghc.schedule(sys).weight);
   }
+}
+
+TEST(Channels, FewerThanOneChannelThrows) {
+  // Fails closed in every build type: a zero-channel climb would index an
+  // empty blocked-channel table.
+  EXPECT_THROW(MultiChannelScheduler(ChannelOptions{0}), std::invalid_argument);
+  EXPECT_THROW(MultiChannelScheduler(ChannelOptions{-1}), std::invalid_argument);
+  EXPECT_NO_THROW(MultiChannelScheduler(ChannelOptions{1}));
 }
 
 TEST(Channels, MoreChannelsNeverHurtOnBatch) {
