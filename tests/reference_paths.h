@@ -12,7 +12,9 @@
 // every alive reader's marginal delta, and ScanMultiChannelScheduler picks
 // each multi-channel climb step the same way.  (The serial PTAS reference
 // is PtasOptions::num_threads = 1; the scan GHC is
-// HillClimbingScheduler(false).)
+// HillClimbingScheduler(false).)  optimalCoveringScheduleSize is the exact
+// minimum covering schedule of a tiny instance, the ground truth the
+// Theorem 1 tests hold the greedy MCS loop to.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +78,27 @@ struct StandaloneCensus {
   int unread_coverable = 0;
 };
 StandaloneCensus standaloneCensus(const core::System& sys);
+
+/// The exact Minimum Covering Schedule size of a tiny instance: the
+/// Theorem 1 ground truth.  MCS is NP-hard (§III reduces from geometric set
+/// cover), but a breadth-first search over the lattice of unread-tag sets,
+/// where one transition activates any feasible scheduling set and retires
+/// its well-covered tags, answers it exactly.  Only maximal well-covered
+/// outcomes are tried (dominance pruning).  O(2^m · F) for m coverable tags
+/// and F useful feasible sets.
+struct OptimalMcsResult {
+  /// Exact minimum number of slots to serve every coverable unread tag;
+  /// -1 if the search exceeded its budget.
+  int slots = -1;
+  /// States expanded by the BFS.
+  std::int64_t states = 0;
+};
+
+/// Computes the exact MCS size for the system's current unread set.
+/// Requires numReaders ≤ 20 and coverable unread tags ≤ 22 (asserted).
+/// `max_states` bounds the BFS frontier work (0 = 4M default).
+OptimalMcsResult optimalCoveringScheduleSize(const core::System& sys,
+                                             std::int64_t max_states = 0);
 
 /// Same schedule and Stats as sched::GrowthScheduler at every thread count
 /// (it bills no metrics or cost: only the schedule is the reference).

@@ -1,17 +1,21 @@
 // Exact MCS tests, including the empirical validation of Theorem 1: the
 // greedy MWFS loop stays within log n of the true minimum covering
-// schedule.
+// schedule, whose size test::ref::optimalCoveringScheduleSize computes
+// (tests/reference_paths.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "reference_paths.h"
 #include "sched/exact.h"
 #include "sched/mcs.h"
-#include "sched/optimal_mcs.h"
 #include "test_helpers.h"
 
 namespace rfid::sched {
 namespace {
+
+using test::ref::OptimalMcsResult;
+using test::ref::optimalCoveringScheduleSize;
 
 core::System tinySystem(std::uint64_t seed) {
   // Keep coverable tags ≤ 22 for the exact search.
