@@ -6,13 +6,15 @@
 // derived structure the ScheduleValidator cannot re-derive cheaply per
 // slot, and a single missed delta silently corrupts every weight the
 // schedulers compute from then on.  The IncrementalIndexOracle closes that
-// hole the same way check/invariants.h does for slots: periodically
-// rebuild the expected index from *raw geometry* — check::geometricCoverage,
-// which buckets the tags in the oracle's own grid (check/bucket_grid.h),
-// takes each reader's candidates from its γ disk and transposes the reader
-// rows into tag rows (O(n + m + local pairs)), sharing no code with the
+// hole the same way check/invariants.h does for slots: periodically derive
+// the expected index from *raw geometry* — check::geometricCoverage, which
+// buckets the tags in the oracle's own grid (check/bucket_grid.h), takes
+// each reader's candidates from its γ disk and transposes the reader rows
+// into tag rows (O(n + m + local pairs)), sharing no code with the
 // incremental splices, the spatial grid or the bitmap rows — and compare
-// FNV fingerprints against the live index.
+// the live index with it row by row through check::auditCoverageIndex, the
+// audit ScheduleValidator::beginRun runs: every tag's coverers, every
+// reader's decoded coverage and every reader's bitmap row.
 //
 // On a divergence the oracle fails the incremental path closed: it records
 // the issue, bumps `check.index_divergence`, switches itself to paranoid
@@ -81,16 +83,6 @@ class IncrementalIndexOracle {
   const IndexOracleOptions& options() const { return opt_; }
 
  private:
-  /// Both expected fingerprints, rebuilt from positions and radii alone.
-  /// The bitmap side re-blocks the geometry rows under the System's recorded
-  /// SFC permutations (the permutations are model input — assigned once at
-  /// construction — not derived state the incremental path could corrupt).
-  struct Expected {
-    std::uint64_t csr = 0;
-    std::uint64_t bitmap = 0;
-  };
-  Expected expectedFingerprints(const core::System& sys) const;
-
   IndexOracleOptions opt_;
   std::uint64_t verified_epoch_ = 0;  // epoch at the last verification
   std::int64_t checks_ = 0;

@@ -40,6 +40,28 @@ std::string joinInts(std::span<const int> xs, std::size_t cap = 8) {
   return os.str();
 }
 
+/// True when `row` is the canonical blocking of `tags` under sys.tagBit:
+/// one entry per non-zero 64-bit word of their bits, ascending.  `bits` is
+/// scratch.
+bool isBlocking(std::span<const core::BitEntry> row, const core::System& sys,
+                std::span<const int> tags, std::vector<std::uint32_t>& bits) {
+  bits.clear();
+  for (const int t : tags) bits.push_back(sys.tagBit(t));
+  std::sort(bits.begin(), bits.end());
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < bits.size(); ++k) {
+    const std::uint32_t w = bits[i] >> 6;
+    std::uint64_t word = 0;
+    for (; i < bits.size() && bits[i] >> 6 == w; ++i) {
+      word |= std::uint64_t{1} << (bits[i] & 63);
+    }
+    if (k == row.size() || row[k].word != w || row[k].bits != word) {
+      return false;
+    }
+  }
+  return k == row.size();
+}
+
 /// `readers` bucketed by position in cells as wide as their largest
 /// interference radius, so one query at `reach` finds every reader that can
 /// conflict with a given one: both Definition 2 and RTc are bounded by R.
@@ -164,6 +186,49 @@ GeometricCoverage geometricCoverage(const core::System& sys) {
   return g;
 }
 
+bool auditCoverageIndex(
+    const core::System& sys, const GeometricCoverage& geo,
+    const std::function<bool(IndexRow, const std::string& detail)>& sink) {
+  bool clean = true;
+  std::vector<int> decoded;
+  std::vector<std::uint32_t> bits;
+  for (int v = 0; v < sys.numReaders(); ++v) {
+    const std::span<const int> expect = geo.coveredTags(v);
+    sys.coveredTags(v, decoded);
+    std::string detail;
+    if (!std::equal(expect.begin(), expect.end(), decoded.begin(),
+                    decoded.end())) {
+      detail = "geometric coverage " + joinInts(expect) +
+               " != System::coveredTags " + joinInts(decoded);
+    } else if (!isBlocking(sys.bitRow(v), sys, expect, bits)) {
+      detail = "System::bitRow (" + std::to_string(sys.bitRow(v).size()) +
+               " words) is not the blocking of geometric coverage " +
+               joinInts(expect);
+    } else {
+      continue;
+    }
+    clean = false;
+    if (!sink(IndexRow::kReader,
+              "reader " + std::to_string(v) + ": " + detail)) {
+      return false;
+    }
+  }
+  for (int t = 0; t < sys.numTags(); ++t) {
+    const std::span<const int> expect = geo.coverers(t);
+    const std::span<const int> got = sys.coverers(t);
+    if (std::equal(expect.begin(), expect.end(), got.begin(), got.end())) {
+      continue;
+    }
+    clean = false;
+    if (!sink(IndexRow::kTag, "tag " + std::to_string(t) +
+                                  ": geometric coverers " + joinInts(expect) +
+                                  " != System::coverers " + joinInts(got))) {
+      return false;
+    }
+  }
+  return clean;
+}
+
 ScheduleValidator::ScheduleValidator(CheckOptions opt) : opt_(std::move(opt)) {}
 
 void ScheduleValidator::flag(int slot, std::string invariant,
@@ -258,44 +323,33 @@ bool ScheduleValidator::beginRun(const core::System& sys) {
   }
 
   // Shadow the read-state and re-derive the coverable census from raw
-  // positions — never the coverage index we are about to audit.
+  // positions — never the coverage index we are about to audit.  The rows
+  // stay for the run: positions do not move, and every later coverage
+  // question (served sets, censuses, orphans) walks them.
+  geo_ = geometricCoverage(sys);
   initial_unread_ = 0;
   initial_uncoverable_ = 0;
   for (std::size_t t = 0; t < m; ++t) {
     shadow_[t] = sys.isRead(static_cast<int>(t)) ? 1 : 0;
-    if (shadow_[t] == 0) ++initial_unread_;
-  }
-
-  // One-time index audit: both coverage directions, read through the public
-  // accessors, must equal the geometric ground truth, list for list.  A
-  // corrupted offset, index or bitmap word (the off-by-one and row-decode
-  // mutant classes) is caught here, before a single slot runs.  The rows
-  // stay for the run: positions do not move, and every later coverage
-  // question (served sets, censuses, orphans) walks them.
-  geo_ = geometricCoverage(sys);
-  std::vector<int> decoded;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::span<const int> expect = geo_.coveredTags(static_cast<int>(v));
-    sys.coveredTags(static_cast<int>(v), decoded);
-    if (!std::equal(expect.begin(), expect.end(), decoded.begin(),
-                    decoded.end())) {
-      flag(-1, "begin.coverage-row-mismatch",
-           "reader " + std::to_string(v) + ": geometric coverage " +
-               joinInts(expect) + " != System::coveredTags " +
-               joinInts(decoded));
-    }
-  }
-  for (std::size_t t = 0; t < m; ++t) {
-    const std::span<const int> expect = geo_.coverers(static_cast<int>(t));
-    if (expect.empty() && shadow_[t] == 0) ++initial_uncoverable_;
-    const std::span<const int> got = sys.coverers(static_cast<int>(t));
-    if (!std::equal(expect.begin(), expect.end(), got.begin(), got.end())) {
-      flag(-1, "begin.coverers-csr-mismatch",
-           "tag " + std::to_string(t) + ": geometric coverers " +
-               joinInts(expect) + " != System::coverers " + joinInts(got));
-    }
+    if (shadow_[t] != 0) continue;
+    ++initial_unread_;
+    if (geo_.coverers(static_cast<int>(t)).empty()) ++initial_uncoverable_;
   }
   remaining_coverable_ = initial_unread_ - initial_uncoverable_;
+
+  // One-time index audit: every row of both coverage directions, read
+  // through the public accessors, must equal the geometric ground truth.  A
+  // corrupted offset, index or bitmap word (the off-by-one and row-decode
+  // mutant classes) is caught here, before a single slot runs.
+  auditCoverageIndex(sys, geo_,
+                     [this](IndexRow row, const std::string& detail) {
+                       flag(-1,
+                            row == IndexRow::kReader
+                                ? "begin.coverage-row-mismatch"
+                                : "begin.coverers-csr-mismatch",
+                            detail);
+                       return true;
+                     });
   // The reader rows served the audit only; every later question walks the
   // tag rows.
   std::vector<int>().swap(geo_.cov_off);

@@ -7,6 +7,11 @@
 //
 //   * pairwise independence (Definition 2) from raw reader geometry,
 //     ‖v_i − v_j‖ > max(R_i, R_j) — never the cached interference graph;
+//   * the coverage index itself, once at beginRun: auditCoverageIndex
+//     compares every tag's coverers, every reader's decoded coverage and
+//     every reader's bitmap row with the rows derived from raw positions
+//     (the streaming index oracle, check/index_oracle.h, runs the same
+//     audit);
 //   * the slot's served set by exactly-one coverage (Definition 1): each
 //     unread tag's coverer row, derived from raw positions at beginRun,
 //     walked against the slot's radiators — never the coverage index;
@@ -43,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -129,6 +135,20 @@ struct GeometricCoverage {
   }
 };
 GeometricCoverage geometricCoverage(const core::System& sys);
+
+/// Which direction of the coverage index a disagreeing row belongs to.
+enum class IndexRow { kReader, kTag };
+
+/// Walks `sys`'s coverage index against `geo` (geometricCoverage(sys)) row
+/// by row, readers first: each reader's coveredTags(v) must equal its
+/// geometric row and its bitRow(v) that row's canonical blocking under
+/// sys.tagBit (the non-zero 64-bit words, ascending); then each tag's
+/// coverers(t) must equal its geometric row.  Each disagreeing row goes to
+/// `sink` with a detail naming it ("reader 3: ..." or "tag 17: ..."), and a
+/// false return stops the walk.  True when every row agreed.
+bool auditCoverageIndex(
+    const core::System& sys, const GeometricCoverage& geo,
+    const std::function<bool(IndexRow, const std::string& detail)>& sink);
 
 /// One recorded violation.
 struct CheckIssue {

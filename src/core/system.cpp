@@ -629,67 +629,6 @@ void System::moveTag(int t, geom::Vec2 pos) {
   ++structural_epoch_;
 }
 
-std::uint64_t System::fingerprintArrays(std::span<const int> covr_off,
-                                        std::span<const int> covr_idx) {
-  // FNV-1a over both arrays' little-endian bytes, with a separator byte
-  // after each array so length boundaries cannot alias.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::span<const int> a) {
-    for (const int x : a) {
-      const auto u = static_cast<std::uint32_t>(x);
-      for (int s = 0; s < 32; s += 8) {
-        h ^= (u >> s) & 0xffu;
-        h *= 1099511628211ull;
-      }
-    }
-    h ^= 0xffu;
-    h *= 1099511628211ull;
-  };
-  mix(covr_off);
-  mix(covr_idx);
-  return h;
-}
-
-std::uint64_t System::indexFingerprint() const {
-  return fingerprintArrays(covr_off_, covr_idx_);
-}
-
-std::uint64_t System::fingerprintBitmap(std::span<const std::uint32_t> off,
-                                        std::span<const BitEntry> arena,
-                                        std::span<const std::uint32_t> row_of,
-                                        std::span<const std::uint32_t> bit_of) {
-  // Same FNV-1a scheme as fingerprintArrays; `pad` is skipped so only the
-  // semantic bytes count.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix32 = [&h](std::uint32_t u) {
-    for (int s = 0; s < 32; s += 8) {
-      h ^= (u >> s) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto sep = [&h]() {
-    h ^= 0xffu;
-    h *= 1099511628211ull;
-  };
-  for (const std::uint32_t x : off) mix32(x);
-  sep();
-  for (const BitEntry& e : arena) {
-    mix32(e.word);
-    mix32(static_cast<std::uint32_t>(e.bits));
-    mix32(static_cast<std::uint32_t>(e.bits >> 32));
-  }
-  sep();
-  for (const std::uint32_t x : row_of) mix32(x);
-  sep();
-  for (const std::uint32_t x : bit_of) mix32(x);
-  sep();
-  return h;
-}
-
-std::uint64_t System::bitmapFingerprint() const {
-  return fingerprintBitmap(bit_off_, bit_arena_, row_of_, bit_of_);
-}
-
 void System::rebuildIndex() {
   // Bit positions are stable, so read_bits_ carries over untouched.
   buildIndex(/*assign_sfc=*/false);

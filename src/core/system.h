@@ -220,15 +220,6 @@ class System {
   /// stays constant across in-place mutation.
   std::uint64_t structuralEpoch() const { return structural_epoch_; }
 
-  /// FNV-1a over the coverers CSR — the incremental-index identity the
-  /// check::IncrementalIndexOracle compares against a from-scratch rebuild.
-  std::uint64_t indexFingerprint() const;
-
-  /// Shared hash so the oracle can fingerprint its independently rebuilt
-  /// arrays with the exact same byte order.
-  static std::uint64_t fingerprintArrays(std::span<const int> covr_off,
-                                         std::span<const int> covr_idx);
-
   // ---- bitmap coverage index (the popcount weight referee) ----
   //
   // The reader → tags direction is a blocked per-reader coverage bitmap:
@@ -262,16 +253,6 @@ class System {
   /// means the tag is read or departed.  Lets caches diff read-state
   /// word-parallel instead of polling isRead() per tag.
   std::span<const std::uint64_t> readBits() const { return read_bits_; }
-
-  /// FNV-1a over the bitmap arena, offsets, and both SFC permutations —
-  /// the bitmap counterpart of indexFingerprint() for the oracle.
-  std::uint64_t bitmapFingerprint() const;
-
-  /// Shared hash for the oracle's independently rebuilt bitmap.
-  static std::uint64_t fingerprintBitmap(std::span<const std::uint32_t> off,
-                                         std::span<const BitEntry> arena,
-                                         std::span<const std::uint32_t> row_of,
-                                         std::span<const std::uint32_t> bit_of);
 
   /// Rebuilds both coverage directions from raw geometry (skipping departed
   /// tags), discarding whatever the incremental path had accumulated — the
@@ -324,8 +305,8 @@ class System {
   /// index would overflow the 32-bit arena offsets.
   void checkIndexCapacity() const;
   /// Assigns the SFC permutations (constructor only — bit positions and row
-  /// slots stay stable across mutations and rebuilds so fingerprints,
-  /// caches, and the oracle all speak one layout).
+  /// slots stay stable across mutations and rebuilds so caches and the
+  /// oracle all speak one layout).
   void assignSfcOrder();
   /// Splices tag `t`'s bit into / out of the bitmap rows of `readers`.
   void bitmapInsert(std::span<const int> readers, int t);

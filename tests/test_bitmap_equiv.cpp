@@ -261,9 +261,9 @@ TEST(BitmapEquiv, ChurnedBitmapMatchesRebuildAndCsr) {
     check::IncrementalIndexOracle oracle;
     EXPECT_EQ(oracle.verify(sys, /*slot=*/0), check::IndexVerdict::kOk)
         << "seed " << seed;
-    const std::uint64_t live = sys.bitmapFingerprint();
+    const test::IndexSnapshot live = test::indexSnapshot(sys);
     sys.rebuildIndex();
-    EXPECT_EQ(sys.bitmapFingerprint(), live) << "seed " << seed;
+    EXPECT_TRUE(test::indexSnapshot(sys) == live) << "seed " << seed;
   }
 }
 
@@ -274,6 +274,10 @@ TEST(BitmapEquiv, OracleDetectsAndHealsBitmapDesync) {
   sys.testOnlyCorruptBitmap();
   EXPECT_EQ(oracle.verify(sys, 1), check::IndexVerdict::kHealed);
   EXPECT_EQ(oracle.divergences(), 1);
+  // The flipped arena bit is a reader row's disagreement.
+  ASSERT_EQ(oracle.issues().size(), 1u);
+  EXPECT_EQ(oracle.issues()[0].detail.rfind("reader ", 0), 0u)
+      << oracle.issues()[0].detail;
   EXPECT_EQ(oracle.verify(sys, 2), check::IndexVerdict::kOk);
 }
 

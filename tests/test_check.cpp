@@ -313,6 +313,18 @@ TEST(ScheduleValidator, BeginAuditFlagsCorruptBitmapRow) {
   ScheduleValidator val;
   EXPECT_FALSE(val.beginRun(sys));
   EXPECT_TRUE(hasIssue(val, "begin.coverage-row-mismatch")) << issueList(val);
+  EXPECT_FALSE(hasIssue(val, "begin.coverers-csr-mismatch")) << issueList(val);
+
+  // The other direction: two swapped coverers entries, with the bitmap rows
+  // intact, fail it through the tag rows.
+  core::System csr = test::smallRandomSystem(3, 60, 1500, 110.0);
+  csr.testOnlyCorruptIndex();
+  ScheduleValidator csr_val;
+  EXPECT_FALSE(csr_val.beginRun(csr));
+  EXPECT_TRUE(hasIssue(csr_val, "begin.coverers-csr-mismatch"))
+      << issueList(csr_val);
+  EXPECT_FALSE(hasIssue(csr_val, "begin.coverage-row-mismatch"))
+      << issueList(csr_val);
 }
 
 // ---- the WeightEvaluator self-audit ----

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,13 +38,18 @@ namespace {
 using check::GeometricCoverage;
 using check::ScheduleValidator;
 
-/// `sys` with mixed radii: zero, stretched and γ = R readers.
+/// The smallest positive radius.  Its square underflows to 0, so a reader
+/// with this γ covers exactly the tags at its own position, as γ = 0 would,
+/// while keeping the System's 0 < γ <= R.
+constexpr double kPointRadius = std::numeric_limits<double>::denorm_min();
+
+/// `sys` with mixed radii: point-sized, stretched and γ = R readers.
 core::System mixedRadii(const core::System& sys) {
   std::vector<core::Reader> readers(sys.readers().begin(), sys.readers().end());
   std::vector<core::Tag> tags(sys.tags().begin(), sys.tags().end());
   for (std::size_t i = 0; i < readers.size(); ++i) {
     core::Reader& r = readers[i];
-    if (i % 5 == 0) r.interrogation_radius = 0.0;
+    if (i % 5 == 0) r.interrogation_radius = kPointRadius;
     if (i % 5 == 1) {
       r.interference_radius *= 4.0;
       r.interrogation_radius *= 3.0;
@@ -84,9 +90,9 @@ core::System churned(core::System sys, std::uint64_t seed) {
 }
 
 /// The fuzz matrix for one seed: the uniform small system, the clustered,
-/// aisle and grid layouts, a mixed-radii variant (zero, stretched and
-/// γ = R readers), a system with departed tags, and churned copies of the
-/// uniform and mixed-radii systems.
+/// aisle and grid layouts, a mixed-radii variant (point-sized, stretched
+/// and γ = R readers), a system with departed tags, and churned copies of
+/// the uniform and mixed-radii systems.
 std::vector<core::System> fuzzMatrix(std::uint64_t seed) {
   std::vector<core::System> out;
   out.push_back(test::smallRandomSystem(seed, 14, 120, 45.0));
@@ -445,8 +451,9 @@ TEST(OracleGrid, NegativeCoordinates) {
 
 TEST(OracleGrid, AllPointsAtOnePosition) {
   std::vector<core::Reader> readers = {
-      test::makeReader(3, 3, 0.0, 0.0), test::makeReader(3, 3, 2.0, 1.0),
-      test::makeReader(3, 3, 5.0, 0.0)};
+      test::makeReader(3, 3, kPointRadius, kPointRadius),
+      test::makeReader(3, 3, 2.0, 1.0),
+      test::makeReader(3, 3, 5.0, kPointRadius)};
   std::vector<core::Tag> tags(4, test::makeTag(3, 3));
   core::System sys(std::move(readers), std::move(tags));
   expectSameCoverage(sys, "one point");

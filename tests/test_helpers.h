@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -42,6 +43,29 @@ inline std::vector<int> coveredTags(const core::System& sys, int v) {
   std::vector<int> out;
   sys.coveredTags(v, out);
   return out;
+}
+
+/// Every row of a System's coverage index: each tag's coverers and each
+/// reader's bitmap row as (word, bits) pairs.  Equal snapshots mean equal
+/// indexes, row for row (before and after System::rebuildIndex(), say).
+struct IndexSnapshot {
+  std::vector<std::vector<int>> coverers;
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> bit_rows;
+  bool operator==(const IndexSnapshot&) const = default;
+};
+
+inline IndexSnapshot indexSnapshot(const core::System& sys) {
+  IndexSnapshot s;
+  for (int t = 0; t < sys.numTags(); ++t) {
+    s.coverers.push_back(toVec(sys.coverers(t)));
+  }
+  for (int v = 0; v < sys.numReaders(); ++v) {
+    auto& row = s.bit_rows.emplace_back();
+    for (const core::BitEntry& e : sys.bitRow(v)) {
+      row.emplace_back(e.word, e.bits);
+    }
+  }
+  return s;
 }
 
 /// A reader at (x, y) with interference radius R and interrogation radius

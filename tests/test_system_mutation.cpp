@@ -121,11 +121,11 @@ TEST(SystemMutation, ChurnedIndexMatchesFromScratchRebuild) {
     churn(sys, rng, 40, 45.0);
     expectIndexExact(sys);
 
-    // The fingerprint must agree with a from-scratch rebuild of the same
-    // churned population (rebuildIndex shares buildIndex with the ctor).
-    const std::uint64_t incremental = sys.indexFingerprint();
+    // Every row must agree with a from-scratch rebuild of the same churned
+    // population (rebuildIndex shares buildIndex with the ctor).
+    const test::IndexSnapshot incremental = test::indexSnapshot(sys);
     sys.rebuildIndex();
-    EXPECT_EQ(sys.indexFingerprint(), incremental) << "seed " << seed;
+    EXPECT_TRUE(test::indexSnapshot(sys) == incremental) << "seed " << seed;
   }
 }
 
@@ -214,6 +214,9 @@ TEST(IndexOracle, DetectsAndHealsSeededCorruption) {
   ASSERT_FALSE(oracle.issues().empty());
   EXPECT_EQ(oracle.issues()[0].slot, 7);
   EXPECT_EQ(oracle.issues()[0].invariant, "index.divergence");
+  // The swapped coverers entries are a tag row's disagreement.
+  EXPECT_EQ(oracle.issues()[0].detail.rfind("tag ", 0), 0u)
+      << oracle.issues()[0].detail;
   // The heal really restored the index.
   expectIndexExact(sys);
   EXPECT_EQ(oracle.verify(sys, 8), check::IndexVerdict::kOk);

@@ -75,8 +75,8 @@ mutants=(
   # Bitmap desync: an arriving/moving tag that needs a fresh 64-tag block in
   # its coverer's row gets a zero-bit entry — the bit is lost and a zero
   # word is stored (canonical-form violation), so the CSR and bitmap
-  # referees drift apart, which the oracle's independently rebuilt bitmap
-  # fingerprint must flag.
+  # referees drift apart, which the streaming oracle's row-by-row audit
+  # must flag as a reader row that disagrees with geometry.
   "bitmap-desync-insert|src/core/system.cpp|bit_arena_\[--write\] = BitEntry{w, 0, mask};|bit_arena_[--write] = BitEntry{w, 0, 0};"
   # Row decode: coveredTags skips the lowest tag of every bitmap word, so
   # readers' decoded coverage loses tags the geometry says they cover; the
